@@ -132,7 +132,9 @@ func QueueOnlyPredict(s Scenario) (Prediction, error) {
 	if cv <= 0 {
 		cv = 0.3
 	}
-	res, err := queueing.Simulate(queueing.Config{
+	sim := simulators.Get().(*queueing.Simulator)
+	defer simulators.Put(sim)
+	res, err := sim.Run(queueing.Config{
 		Servers:   s.Servers,
 		Arrival:   stats.Exponential{Rate: s.Load * float64(s.Servers) / s.ExpService},
 		Service:   stats.LognormalFromMeanCV(s.ExpService, cv),

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"stac/internal/counters"
@@ -189,6 +191,86 @@ func TestPredictWithEANeverBoost(t *testing.T) {
 	if gotAgg < wantAgg*0.93 || gotAgg > wantAgg*1.07 {
 		t.Fatalf("never-boost aggregate %v, want ~%v", gotAgg, wantAgg)
 	}
+}
+
+// TestPredictWithEAOwnsResult pins that the exported PredictWithEA hands
+// back slices of its own, not the pooled simulator's buffers: a later
+// prediction must not overwrite an earlier Result.
+func TestPredictWithEAOwnsResult(t *testing.T) {
+	s := Scenario{
+		Service: "redis", Load: 0.7, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2,
+		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+	}
+	_, first, err := PredictWithEA(s, 0.7, 0.5, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := first.Clone()
+	s.Load, s.Timeout = 0.4, 0
+	for i := 0; i < 3; i++ {
+		if _, _, err := PredictWithEA(s, 0.9, 0.6, 2000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(first, kept) {
+		t.Fatal("a later PredictWithEA overwrote an earlier Result")
+	}
+}
+
+// TestPooledSimulatorsConcurrent runs Stage 3 from several goroutines
+// at once through the shared simulator pool; every result must equal
+// its sequential twin.
+func TestPooledSimulatorsConcurrent(t *testing.T) {
+	base := Scenario{
+		Service: "redis", PartnerLoad: 0.5, PartnerTimeout: 2,
+		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+	}
+	type out struct{ ea, queue Prediction }
+	var scenarios []Scenario
+	for _, load := range []float64{0.3, 0.6, 0.9} {
+		for _, timeout := range []float64{0, 1.5, profile.TimeoutCap} {
+			s := base
+			s.Load, s.Timeout = load, timeout
+			scenarios = append(scenarios, s)
+		}
+	}
+	predict := func(s Scenario) (out, error) {
+		ea, _, err := PredictWithEA(s, 0.8, 0.5, 1500)
+		if err != nil {
+			return out{}, err
+		}
+		q, err := QueueOnlyPredict(s)
+		return out{ea, q}, err
+	}
+	want := make([]out, len(scenarios))
+	for i, s := range scenarios {
+		o, err := predict(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = o
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range scenarios {
+				i := (k + w) % len(scenarios)
+				got, err := predict(scenarios[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("scenario %d: concurrent %+v, sequential %+v", i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestCounterMatrixLengthInvariant(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"stac/internal/counters"
 	"stac/internal/deepforest"
@@ -345,6 +346,8 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 		s.ServiceCV = cv
 	}
 	dynamic := p.builder.Dynamics(s)
+	sim := simulators.Get().(*queueing.Simulator)
+	defer simulators.Put(sim)
 
 	never := s
 	never.Timeout = profile.TimeoutCap
@@ -364,7 +367,7 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 			return Prediction{}, err
 		}
 		var res queueing.Result
-		pred, res, err = PredictWithEA(s, eaPolicy, eaNever, p.simQueries)
+		pred, res, err = predictWithEA(sim, s, eaPolicy, eaNever, p.simQueries)
 		if err != nil {
 			return Prediction{}, err
 		}
@@ -377,6 +380,12 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 	}
 	return pred, nil
 }
+
+// simulators pools Stage-3 simulators. A Predictor is safe for
+// concurrent use, so each prediction takes a simulator of its own; handing
+// it back lets the next prediction reuse its buffers and its kept
+// standard variates, since every Stage-3 simulation uses seed 1.
+var simulators = sync.Pool{New: func() any { return queueing.NewSimulator() }}
 
 // PredictWithEA runs Stage 3 with externally supplied effective
 // allocations — eaPolicy at the scenario's timeout and eaNever at the
@@ -391,7 +400,18 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 // *calibrated by bisection* so the simulated aggregate matches the first
 // — a fixed multiplier would only match when every query boosts, biasing
 // mid-timeout policies.
+//
+// The returned Result owns its slices.
 func PredictWithEA(s Scenario, eaPolicy, eaNever float64, simQueries int) (Prediction, queueing.Result, error) {
+	sim := simulators.Get().(*queueing.Simulator)
+	defer simulators.Put(sim)
+	pred, res, err := predictWithEA(sim, s, eaPolicy, eaNever, simQueries)
+	return pred, res.Clone(), err
+}
+
+// predictWithEA is PredictWithEA on a caller's simulator; the Result
+// aliases the simulator's buffers until its next run.
+func predictWithEA(sim *queueing.Simulator, s Scenario, eaPolicy, eaNever float64, simQueries int) (Prediction, queueing.Result, error) {
 	// Contended default-phase speed factor (1 = matches the solo
 	// calibration; below 1 = neighbours slow us down).
 	defaultRate := clampRate(eaNever*s.BoostRatio, 0.2, 1.5)
@@ -421,7 +441,7 @@ func PredictWithEA(s Scenario, eaPolicy, eaNever float64, simQueries int) (Predi
 
 	simulate := func(m float64) (queueing.Result, float64, error) {
 		cfg.BoostRate = m
-		res, err := queueing.Simulate(cfg)
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return queueing.Result{}, 0, err
 		}

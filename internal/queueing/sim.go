@@ -12,6 +12,7 @@ package queueing
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stac/internal/obs"
 	"stac/internal/stats"
@@ -70,6 +71,9 @@ func (c Config) validate() error {
 	if c.Queries <= 0 {
 		return fmt.Errorf("queueing: queries must be positive")
 	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("queueing: negative warmup")
+	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("queueing: negative timeout")
 	}
@@ -92,6 +96,15 @@ type Result struct {
 	BoostedFrac float64
 }
 
+// Clone returns a copy of r that owns its slices, for keeping a Result
+// that Simulator.Run returned past the simulator's next run.
+func (r Result) Clone() Result {
+	r.ResponseTimes = slices.Clone(r.ResponseTimes)
+	r.QueueDelays = slices.Clone(r.QueueDelays)
+	r.Arrivals = slices.Clone(r.Arrivals)
+	return r
+}
+
 // MeanResponse returns the average response time.
 func (r Result) MeanResponse() float64 { return stats.Mean(r.ResponseTimes) }
 
@@ -110,12 +123,43 @@ func (r Result) MeanQueueDelay() float64 { return stats.Mean(r.QueueDelays) }
 // The Result returned by Run aliases the simulator's buffers and is
 // overwritten by the next Run; callers that retain it must copy.
 // Numerics are bit-identical to Simulate (TestSimulatorMatchesSimulate).
+//
+// When both distributions are standardized, Run also keeps the
+// run's standard variates: query q draws its arrival's standard variate
+// and then its service's, so the interleaved stream depends only on the
+// seed and the two kinds, never on rates, means or spreads. A later run
+// with the same seed and kinds transforms the kept draws instead of
+// drawing again, and extends them when it is longer. Stage 3 seeds every
+// simulation alike and varies only the parameters, so its repeated runs
+// skip the RNG, the logarithm and the normal rejection loop.
+//
+// A Simulator is not safe for concurrent use.
 type Simulator struct {
 	rng        *stats.RNG
 	serverFree []float64
 	resp       []float64
 	delays     []float64
 	arrs       []float64
+	std        stdStream
+}
+
+// standardized is a distribution whose Sample(r) is
+// Transform(Std().Draw(r)) bit for bit (stats.Exponential and
+// stats.Lognormal).
+type standardized interface {
+	Std() stats.Standard
+	Transform(v float64) float64
+}
+
+// stdStream is the kept standard-variate stream of one (seed, arrival
+// kind, service kind): arr[q] and svc[q] are query q's draws, and the
+// simulator's rng stands just past the last of them.
+type stdStream struct {
+	valid    bool
+	seed     uint64
+	arrKind  stats.Standard
+	svcKind  stats.Standard
+	arr, svc []float64
 }
 
 // NewSimulator returns a simulator with empty buffers; they grow to the
@@ -134,21 +178,32 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // simulations should hold a Simulator and call Run instead.
 func Simulate(cfg Config) (Result, error) {
 	var s Simulator
-	return s.Run(cfg)
+	return s.run(cfg, false)
 }
 
-// Run executes one simulation, reusing the simulator's buffers.
-func (s *Simulator) Run(cfg Config) (Result, error) {
+// Run executes one simulation, reusing the simulator's buffers and, when
+// the seed and draw kinds repeat, its standard variates.
+func (s *Simulator) Run(cfg Config) (Result, error) { return s.run(cfg, true) }
+
+// run executes one simulation. keep selects the kept standard-variate
+// stream; a one-shot simulation samples inline and keeps nothing.
+func (s *Simulator) run(cfg Config, keep bool) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if s.rng == nil {
-		s.rng = stats.NewRNG(cfg.Seed)
+	total := cfg.Queries + cfg.Warmup
+	arrival, arrOK := cfg.Arrival.(standardized)
+	service, svcOK := cfg.Service.(standardized)
+	kept := keep && arrOK && svcOK
+	if kept {
+		s.keepStd(cfg.Seed, arrival.Std(), service.Std(), total)
 	} else {
-		s.rng.Reseed(cfg.Seed)
+		s.reseed(cfg.Seed)
+		// Inline draws move the rng off any kept stream.
+		s.std.valid = false
 	}
 	rng := s.rng
-	total := cfg.Queries + cfg.Warmup
+	arrStd, svcStd := s.std.arr, s.std.svc
 
 	// serverFree[i] is when server i next becomes idle; FCFS assigns each
 	// arrival to the earliest-free server (equivalent to a single queue).
@@ -175,8 +230,14 @@ func (s *Simulator) Run(cfg Config) (Result, error) {
 	boosted := 0
 	now := 0.0
 	for q := 0; q < total; q++ {
-		now += cfg.Arrival.Sample(rng)
-		work := cfg.Service.Sample(rng)
+		var work float64
+		if kept {
+			now += arrival.Transform(arrStd[q])
+			work = service.Transform(svcStd[q])
+		} else {
+			now += cfg.Arrival.Sample(rng)
+			work = cfg.Service.Sample(rng)
+		}
 		if work <= 0 {
 			work = 1e-12
 		}
@@ -231,6 +292,32 @@ func (s *Simulator) Run(cfg Config) (Result, error) {
 	simQueries.Add(uint64(cfg.Queries))
 	simBoosted.Add(uint64(boosted))
 	return res, nil
+}
+
+// reseed restarts the simulator's rng at seed.
+func (s *Simulator) reseed(seed uint64) {
+	if s.rng == nil {
+		s.rng = stats.NewRNG(seed)
+	} else {
+		s.rng.Reseed(seed)
+	}
+}
+
+// keepStd makes s.std the stream of (seed, arrival kind, service kind)
+// with at least n queries' draws. A stream of another seed or other
+// kinds is dropped and redrawn from the seed; a short stream of the
+// right one is extended from where its rng stopped.
+func (s *Simulator) keepStd(seed uint64, arrKind, svcKind stats.Standard, n int) {
+	st := &s.std
+	if !st.valid || st.seed != seed || st.arrKind != arrKind || st.svcKind != svcKind {
+		s.reseed(seed)
+		*st = stdStream{valid: true, seed: seed, arrKind: arrKind, svcKind: svcKind,
+			arr: st.arr[:0], svc: st.svc[:0]}
+	}
+	for len(st.arr) < n {
+		st.arr = append(st.arr, arrKind.Draw(s.rng))
+		st.svc = append(st.svc, svcKind.Draw(s.rng))
+	}
 }
 
 // MMcWait returns the analytic mean waiting time (excluding service) of an

@@ -258,6 +258,35 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeWarmupRejected is the regression test for a negative
+// Warmup, which validate used to accept: Queries 100 with Warmup -40
+// simulated and measured only 60 queries, yet divided the boosted count
+// by 100, so a run in which every query boosted reported BoostedFrac
+// 0.6. It must be an error on both entry points.
+func TestNegativeWarmupRejected(t *testing.T) {
+	cfg := Config{
+		Servers: 1, Arrival: stats.Exponential{Rate: 1},
+		Service: stats.Exponential{Rate: 2}, Timeout: 0, BoostRate: 2,
+		Queries: 100, Warmup: -40, Seed: 1,
+	}
+	if res, err := Simulate(cfg); err == nil {
+		t.Fatalf("negative warmup accepted: %d queries measured, BoostedFrac %v",
+			len(res.ResponseTimes), res.BoostedFrac)
+	}
+	if _, err := NewSimulator().Run(cfg); err == nil {
+		t.Fatal("Simulator.Run accepted a negative warmup")
+	}
+	cfg.Warmup = 0
+	res, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ResponseTimes) != 100 || res.BoostedFrac != 1 {
+		t.Fatalf("zero warmup: %d queries, BoostedFrac %v; want 100 and 1",
+			len(res.ResponseTimes), res.BoostedFrac)
+	}
+}
+
 func TestMMcErrors(t *testing.T) {
 	if _, err := MMcWait(2, 1, 1); err == nil {
 		t.Error("unstable M/M/1 accepted")

@@ -12,6 +12,34 @@ type Dist interface {
 	Mean() float64
 }
 
+// Standard names a parameter-free variate that a distribution's samples
+// are a transform of. A distribution with methods Std() Standard and
+// Transform(v float64) float64 defines Sample(r) as
+// Transform(Std().Draw(r)), so the two agree bit for bit. The standard
+// variates an RNG yields depend only on its seed and on the sequence of
+// kinds drawn, never on distribution parameters, so a caller that
+// repeats a simulation with one seed and new parameters can draw the
+// standard stream once and transform it again (queueing.Simulator does).
+type Standard uint8
+
+const (
+	// StdExponential is a unit-rate exponential, RNG.ExpFloat64.
+	StdExponential Standard = iota + 1
+	// StdNormal is a standard normal, RNG.NormFloat64.
+	StdNormal
+)
+
+// Draw returns one standard variate of kind k.
+func (k Standard) Draw(r *RNG) float64 {
+	switch k {
+	case StdExponential:
+		return r.ExpFloat64()
+	case StdNormal:
+		return r.NormFloat64()
+	}
+	panic("stats: unknown standard variate")
+}
+
 // Exponential is an exponential distribution with the given rate λ.
 // Its mean is 1/λ. Used for query inter-arrival times (the paper uses
 // exponential inter-arrivals, §5.2).
@@ -20,10 +48,13 @@ type Exponential struct {
 }
 
 // Sample draws an exponential variate by inversion.
-func (e Exponential) Sample(r *RNG) float64 {
-	// 1-Float64() is in (0,1], avoiding Log(0).
-	return -math.Log(1-r.Float64()) / e.Rate
-}
+func (e Exponential) Sample(r *RNG) float64 { return e.Transform(r.ExpFloat64()) }
+
+// Std reports that Sample transforms a unit-rate exponential.
+func (Exponential) Std() Standard { return StdExponential }
+
+// Transform scales a unit-rate exponential variate to rate Rate.
+func (e Exponential) Transform(v float64) float64 { return v / e.Rate }
 
 // Mean returns 1/Rate.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
@@ -37,9 +68,13 @@ type Lognormal struct {
 }
 
 // Sample draws a lognormal variate.
-func (l Lognormal) Sample(r *RNG) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
+func (l Lognormal) Sample(r *RNG) float64 { return l.Transform(r.NormFloat64()) }
+
+// Std reports that Sample transforms a standard normal.
+func (Lognormal) Std() Standard { return StdNormal }
+
+// Transform maps a standard normal variate z to exp(Mu + Sigma·z).
+func (l Lognormal) Transform(z float64) float64 { return math.Exp(l.Mu + l.Sigma*z) }
 
 // Mean returns exp(Mu + Sigma^2/2).
 func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }

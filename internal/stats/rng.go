@@ -128,6 +128,10 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
+// ExpFloat64 returns a unit-rate exponential variate by inversion,
+// -log(1-U). 1-Float64() is in (0,1], avoiding Log(0).
+func (r *RNG) ExpFloat64() float64 { return -math.Log(1 - r.Float64()) }
+
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {

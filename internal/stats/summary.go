@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -38,34 +39,117 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice and
-// does not modify xs.
+// does not modify xs. NaNs rank below every number, as sort.Float64s
+// orders them. The two ranks are found by selection on a copy of xs,
+// O(n) expected, instead of by sorting it.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	a := append([]float64(nil), xs...)
+	// Gather the NaNs at the front, where sort.Float64s puts them, so
+	// that selection runs on a totally ordered remainder.
+	nan := 0
+	for i, x := range a {
+		if x != x {
+			a[i], a[nan] = a[nan], x
+			nan++
+		}
+	}
+	lo, hi, frac := percentileRanks(len(a), p)
+	if lo < nan {
+		return a[lo] // NaN, and NaN again if interpolated
+	}
+	selectKth(a[nan:], lo-nan, 2*bits.Len(uint(len(a))))
+	if lo == hi {
+		return a[lo]
+	}
+	// Selection left everything after lo at or above a[lo]; the next
+	// rank up is the least of them.
+	next := a[hi]
+	for _, x := range a[hi+1:] {
+		if x < next {
+			next = x
+		}
+	}
+	return a[lo]*(1-frac) + next*frac
+}
+
+// percentileRanks returns the closest ranks lo <= hi of the p-th
+// percentile in a sorted sample of n, and the weight frac of rank hi in
+// the interpolation; hi is lo or lo+1.
+func percentileRanks(n int, p float64) (lo, hi int, frac float64) {
+	if n == 1 || p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := percentileRanks(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// selectKth reorders a, which must hold no NaN, so that a[k] is the
+// value sort.Float64s would put there, with nothing greater before it
+// and nothing smaller after it. It is Hoare's FIND with a median-of-three
+// pivot, O(len(a)) expected. After budget partitions it hands what is
+// left of the range to sort.Float64s; a budget of about 2·log2(n) bounds
+// the worst case at O(n log n).
+func selectKth(a []float64, k, budget int) {
+	lo, hi := 0, len(a)-1
+	for ; lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			return
+		}
+		// Order a[lo] <= a[mid] <= a[hi]: the pivot is their median, and
+		// the ends stop both scans below.
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+			if a[mid] < a[lo] {
+				a[mid], a[lo] = a[lo], a[mid]
+			}
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] <= pivot <= a[i..hi], and anything between j
+		// and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Median returns the 50th percentile of xs.

@@ -54,3 +54,19 @@ func BenchmarkSearcherSetup(b *testing.B) {
 		benchSearcher(b)
 	}
 }
+
+// BenchmarkSurrogateSearch is one full sweep: Search over every plan of
+// EnumeratePlans (4294 on the default platform) on a fresh Searcher, so
+// the simulation memo starts empty as it does for a real search. The
+// Searcher's construction is excluded; BenchmarkSearcherSetup times it.
+func BenchmarkSurrogateSearch(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := benchSearcher(b)
+		plans := s.EnumeratePlans()
+		b.StartTimer()
+		if _, err := s.Search(plans); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

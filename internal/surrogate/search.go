@@ -96,8 +96,17 @@ func (c Config) defaults() Config {
 
 // simKey memoises queueing simulations: plans that reduce to the same
 // (rates, distribution, timeout) tuple — e.g. differing only in the
-// partner's timeout — share one simulation. Float inputs are quantised
-// to 1e-4 relative so physically identical configs hit the same cell.
+// partner's timeout — share one simulation. Float inputs are rounded to
+// a 1e-4 grid after per-field scaling (see simulate), so a cell also
+// merges configs that are close but not identical, and answers every
+// later lookup with the simulation of whichever config filled it first.
+// On redis + social at ρ = 0.9, seed 1, the full 4294-plan sweep makes
+// 8733 memo hits: 2630 of them return the simulation of a config whose
+// raw inputs differ from the lookup's, and 3441 return one filled by a
+// plan with another layout. Evaluate(p) therefore depends on what was
+// evaluated before it: sweeping the same plans in reverse on a fresh
+// Searcher changes 1676 of the 4294 evaluations. The sweep cannot be
+// reordered or fanned out without moving results (DESIGN §11).
 type simKey struct {
 	arrival, baseMean, cv, timeout, boostRate int64
 	servers, queries                          int
@@ -116,7 +125,7 @@ func quant(v float64) int64 {
 
 // Searcher evaluates mask plans with the surrogate stack. Construct with
 // New; methods are not safe for concurrent use (the sim cache is a plain
-// map).
+// map, and one queueing.Simulator runs every simulation).
 type Searcher struct {
 	cfg    Config
 	models [2]*Model
@@ -128,6 +137,10 @@ type Searcher struct {
 
 	sims    map[simKey]simOut
 	simRuns int
+	// sim runs every memo miss. All of them use seed 1 and the same
+	// draw kinds, so after the first it only transforms its kept
+	// standard variates.
+	sim *queueing.Simulator
 }
 
 // servers is the per-service parallelism of the evaluation conditions.
@@ -140,7 +153,8 @@ func New(cfg Config) (*Searcher, error) {
 	if cfg.LoadA <= 0 || cfg.LoadA >= 1 || cfg.LoadB <= 0 || cfg.LoadB >= 1 {
 		return nil, fmt.Errorf("surrogate: loads (%v, %v) outside (0,1)", cfg.LoadA, cfg.LoadB)
 	}
-	s := &Searcher{cfg: cfg, loads: [2]float64{cfg.LoadA, cfg.LoadB}, sims: map[simKey]simOut{}}
+	s := &Searcher{cfg: cfg, loads: [2]float64{cfg.LoadA, cfg.LoadB}, sims: map[simKey]simOut{},
+		sim: queueing.NewSimulator()}
 	for i, k := range []workload.Kernel{cfg.KernelA, cfg.KernelB} {
 		var curve mrc.CapacityCurve
 		if cfg.Intervals != nil {
@@ -396,7 +410,7 @@ func (s *Searcher) simulate(cfg queueing.Config) (simOut, error) {
 	if out, ok := s.sims[key]; ok {
 		return out, nil
 	}
-	res, err := queueing.Simulate(cfg)
+	res, err := s.sim.Run(cfg)
 	if err != nil {
 		return simOut{}, err
 	}

@@ -4,10 +4,10 @@
 # Runs the internal/cache micro-benchmarks (per-access cost of the
 # probe/fill hot path), the internal/forest + internal/deepforest
 # training/prediction benchmarks (the stage-2 model's wall-clock floor),
-# the internal/testbed + internal/queueing machine-loop benchmarks
-# (the serial floor of every experiment condition), the internal/mrc +
-# internal/surrogate fast-path benchmarks (MRC ingestion and the
-# surrogate-vs-replay per-plan cost) and the internal/fleet cluster
+# the internal/testbed + internal/queueing + internal/stats machine-loop
+# and Stage-3 benchmarks (simulator runs and percentiles), the internal/mrc
+# + internal/surrogate fast-path benchmarks (MRC ingestion, the
+# surrogate-vs-replay per-plan cost, a full sweep) and the internal/fleet cluster
 # benchmarks (fleet step rate, routing decision cost and the migrator's
 # queueing-model decision latency), plus one end-to-end fig6
 # regeneration and a serving loadtest sweep (stac loadtest against an
@@ -105,9 +105,9 @@ echo "== training benchmarks (internal/forest + internal/deepforest) =="
 go test -run '^$' -bench '.' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
     ./internal/forest ./internal/deepforest | tee "$RAW_FOREST"
 
-echo "== machine-loop benchmarks (internal/testbed + internal/queueing) =="
+echo "== machine-loop benchmarks (internal/testbed + internal/queueing + internal/stats) =="
 go test -run '^$' -bench '.' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
-    ./internal/testbed ./internal/queueing | tee "$RAW_QUEUE"
+    ./internal/testbed ./internal/queueing ./internal/stats | tee "$RAW_QUEUE"
 
 echo "== fast-path benchmarks (internal/mrc + internal/surrogate) =="
 go test -run '^$' -bench '.' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
@@ -145,7 +145,7 @@ trap 'rm -f "$RAW_CACHE" "$RAW_FOREST" "$RAW_QUEUE" "$RAW_MRC" "$RAW_FLEET"; rm 
     -duration "$LOAD_DUR" -warmup 1s -mode open -qps "$OPEN_QPS" -workers 32 \
     -json "$SERVE_DIR/open.json"
 
-GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+GIT_REV=$(git describe --always --dirty 2>/dev/null || echo unknown)
 GO_VERSION=$(go env GOVERSION)
 
 # emit_json <raw> <out> <withfig6> — aggregate one `go test -bench`
