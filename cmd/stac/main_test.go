@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"stac/internal/experiments"
@@ -67,5 +68,15 @@ func TestCmdSearchSampledSmoke(t *testing.T) {
 	if err := cmdSearch([]string{"-a", "redis", "-b", "social", "-sampled", "0.25",
 		"-topk", "1", "-validate=false"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCmdSearchRejectsNegativeTopK is a regression test: -topk -1 used to
+// sweep every plan, run the baseline on the testbed and then panic in
+// Searcher.Validate. It must fail fast with an error instead.
+func TestCmdSearchRejectsNegativeTopK(t *testing.T) {
+	err := cmdSearch([]string{"-a", "redis", "-b", "bfs", "-topk", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "-topk") {
+		t.Fatalf("err = %v, want an error naming -topk", err)
 	}
 }

@@ -30,6 +30,9 @@ func cmdSearch(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *topk < 0 {
+		return fmt.Errorf("search: -topk must be non-negative, got %d", *topk)
+	}
 	if err := startObs(); err != nil {
 		return err
 	}

@@ -4,8 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
+
+	"stac/internal/deepforest"
+	"stac/internal/stats"
 )
 
 // goldenGridDigest is the sha256 over PredictResponse and
@@ -21,7 +26,10 @@ func TestGoldenPredictGrid(t *testing.T) {
 		t.Skip("collects and trains on a small dataset")
 	}
 	ds := buildDataset(t, 12, 42)
-	p := trainPredictor(t, ds, 9)
+	model, err := TrainDeepForestEA(ds, deepforest.FastConfig(MatrixSpec(ds.Schema)), stats.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var templates [2]Scenario
 	for i, svc := range []string{"redis", "bfs"} {
@@ -33,42 +41,54 @@ func TestGoldenPredictGrid(t *testing.T) {
 		templates[i].Load, templates[i].PartnerLoad = 0.9, 0.9
 	}
 
-	h := sha256.New()
-	var buf [8]byte
-	wf := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	wp := func(pr Prediction) {
-		wf(pr.EA)
-		wf(pr.MeanResponse)
-		wf(pr.P95Response)
-		wf(pr.QueueDelay)
-		wf(pr.BoostedFrac)
-	}
-	grid := []float64{0, 0.5, 1.5, 3, 4.5}
-	for _, tA := range grid {
-		for _, tB := range grid {
-			for i, tm := range templates {
-				s := tm
-				s.Timeout, s.PartnerTimeout = tA, tB
-				if i == 1 {
-					s.Timeout, s.PartnerTimeout = tB, tA
-				}
-				pr, err := p.PredictResponse(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wp(pr)
-				q, err := QueueOnlyPredict(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wp(q)
+	// The predictor is built under each GOMAXPROCS setting, because
+	// NewPredictor fans its residual-correction fit out over its default
+	// workers.
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			p, err := NewPredictor(model, ds, 2, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenGridDigest {
-		t.Errorf("prediction grid digest moved:\n got  %s\n want %s", got, goldenGridDigest)
+			h := sha256.New()
+			var buf [8]byte
+			wf := func(v float64) {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+			wp := func(pr Prediction) {
+				wf(pr.EA)
+				wf(pr.MeanResponse)
+				wf(pr.P95Response)
+				wf(pr.QueueDelay)
+				wf(pr.BoostedFrac)
+			}
+			grid := []float64{0, 0.5, 1.5, 3, 4.5}
+			for _, tA := range grid {
+				for _, tB := range grid {
+					for i, tm := range templates {
+						s := tm
+						s.Timeout, s.PartnerTimeout = tA, tB
+						if i == 1 {
+							s.Timeout, s.PartnerTimeout = tB, tA
+						}
+						pr, err := p.PredictResponse(s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wp(pr)
+						q, err := QueueOnlyPredict(s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wp(q)
+					}
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != goldenGridDigest {
+				t.Errorf("prediction grid digest moved:\n got  %s\n want %s", got, goldenGridDigest)
+			}
+		})
 	}
 }

@@ -34,7 +34,7 @@ func trainPredictor(t *testing.T, train profile.Dataset, seed uint64) *Predictor
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPredictor(model, train, 2)
+	p, err := NewPredictor(model, train, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 func TestNewPredictorErrors(t *testing.T) {
-	if _, err := NewPredictor(nil, profile.Dataset{}, 2); err == nil {
+	if _, err := NewPredictor(nil, profile.Dataset{}, 2, 0); err == nil {
 		t.Error("nil model accepted")
 	}
 	ds := profile.Dataset{Schema: profile.DefaultSchema(), Rows: []profile.Row{{}}}
-	if _, err := NewPredictor(stubModel{}, profile.Dataset{Schema: ds.Schema}, 2); err == nil {
+	if _, err := NewPredictor(stubModel{}, profile.Dataset{Schema: ds.Schema}, 2, 0); err == nil {
 		t.Error("empty library accepted")
 	}
-	if _, err := NewPredictor(stubModel{}, ds, 0); err == nil {
+	if _, err := NewPredictor(stubModel{}, ds, 0, 0); err == nil {
 		t.Error("zero servers accepted")
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"stac/internal/counters"
 	"stac/internal/deepforest"
 	"stac/internal/linreg"
+	"stac/internal/par"
 	"stac/internal/profile"
 	"stac/internal/queueing"
 	"stac/internal/stats"
@@ -125,6 +126,9 @@ type Predictor struct {
 	model   EAModel
 	builder *InputBuilder
 	servers int
+	// workers bounds the predictor's own fan-outs: the correction fit
+	// and batch callers such as policy.ModelDriven (see Workers).
+	workers int
 
 	// Feedback iterations between the EA model and the queueing
 	// simulator (2 matches the paper's converged behaviour).
@@ -143,8 +147,11 @@ type Predictor struct {
 
 // NewPredictor assembles a pipeline from a trained EA model and the
 // profiling library it was trained on. servers is the per-service core
-// count of the deployment being modelled.
-func NewPredictor(model EAModel, library profile.Dataset, servers int) (*Predictor, error) {
+// count of the deployment being modelled. workers bounds the parallelism
+// of the residual-correction fit and of the predictor's batch callers
+// (0 = GOMAXPROCS, 1 = sequential); the predictor is identical at any
+// count.
+func NewPredictor(model EAModel, library profile.Dataset, servers, workers int) (*Predictor, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: nil EA model")
 	}
@@ -162,6 +169,7 @@ func NewPredictor(model EAModel, library profile.Dataset, servers int) (*Predict
 		model:      model,
 		builder:    builder,
 		servers:    servers,
+		workers:    workers,
 		iterations: 2,
 		simQueries: 8000,
 		correction: map[string]*linreg.Model{},
@@ -183,21 +191,35 @@ func correctionFeatures(s Scenario, meanResponse float64) []float64 {
 // correction is only installed when a two-fold cross-validation over
 // training conditions shows it actually reduces error: on pairs whose
 // raw pipeline is already unbiased, stacking would only add variance.
+//
+// The per-condition predictions are independent and fan out over the
+// predictor's workers into index-addressed slots; the fits read them in
+// library order.
 func (p *Predictor) fitCorrections(library profile.Dataset) {
 	library = library.AggregateByCondition()
+	preds := make([]Prediction, len(library.Rows))
+	// A skipped or failed prediction leaves its slot zero, which skips
+	// the condition below.
+	_ = par.ForEach(p.workers, len(library.Rows), func(i int) error {
+		r := library.Rows[i]
+		if r.RespMean <= 0 || r.ExpService <= 0 {
+			return nil
+		}
+		if pred, err := p.predictRaw(ScenarioFromRow(r, p.servers)); err == nil {
+			preds[i] = pred
+		}
+		return nil
+	})
 	perServiceX := map[string][][]float64{}
 	perServiceY := map[string][]float64{}
 	perServiceResp := map[string][]float64{}
 	perServiceExp := map[string][]float64{}
-	for _, r := range library.Rows {
-		if r.RespMean <= 0 || r.ExpService <= 0 {
+	for i, r := range library.Rows {
+		pred := preds[i]
+		if pred.MeanResponse <= 0 {
 			continue
 		}
 		s := ScenarioFromRow(r, p.servers)
-		pred, err := p.predictRaw(s)
-		if err != nil || pred.MeanResponse <= 0 {
-			continue
-		}
 		perServiceX[r.Service] = append(perServiceX[r.Service], correctionFeatures(s, pred.MeanResponse))
 		perServiceY[r.Service] = append(perServiceY[r.Service], math.Log(r.RespMean/r.ExpService))
 		perServiceResp[r.Service] = append(perServiceResp[r.Service], r.RespMean)
@@ -265,6 +287,10 @@ func (p *Predictor) fitCorrections(library profile.Dataset) {
 func (p *Predictor) ClearCorrections() {
 	p.correction = map[string]*linreg.Model{}
 }
+
+// Workers reports the worker bound NewPredictor was given, for callers
+// that fan a batch of predictions out over par.
+func (p *Predictor) Workers() int { return p.workers }
 
 // applyCorrection maps a raw prediction through the service's fitted
 // residual correction, scaling the tail estimate proportionally.

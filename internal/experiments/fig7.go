@@ -234,7 +234,7 @@ func Fig7c(opts Options) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		p, err := core.NewPredictor(model, train, 2)
+		p, err := core.NewPredictor(model, train, 2, opts.Workers)
 		if err != nil {
 			return 0, err
 		}

@@ -225,7 +225,7 @@ func Fig8e(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		simpleP, err := core.NewPredictor(rf, ds, 2)
+		simpleP, err := core.NewPredictor(rf, ds, 2, opts.Workers)
 		if err != nil {
 			return err
 		}

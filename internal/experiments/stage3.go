@@ -58,7 +58,7 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rfPred, err := core.NewPredictor(rf, train, 2)
+	rfPred, err := core.NewPredictor(rf, train, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gbPred, err := core.NewPredictor(gb, train, 2)
+	gbPred, err := core.NewPredictor(gb, train, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

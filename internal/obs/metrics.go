@@ -107,30 +107,103 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.count.Add(1)
+	h.addSum(v)
+	h.lowerMin(v)
+	h.raiseMax(v)
+	h.buckets[observedBucket(v)].Add(1)
+}
+
+// observedBucket maps a non-negative value to its bucket; zero lands in
+// the lowest.
+func observedBucket(v float64) int {
+	if v <= 0 {
+		return 0
+	}
+	return bucketIndex(v)
+}
+
+// addSum adds v to the sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sumBits.CompareAndSwap(old, next) {
-			break
+			return
 		}
 	}
+}
+
+// lowerMin lowers the minimum to v if v is smaller.
+func (h *Histogram) lowerMin(v float64) {
 	for {
 		old := h.minBits.Load()
 		if v >= math.Float64frombits(old) || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
+			return
 		}
 	}
+}
+
+// raiseMax raises the maximum to v if v is larger.
+func (h *Histogram) raiseMax(v float64) {
 	for {
 		old := h.maxBits.Load()
 		if v <= math.Float64frombits(old) || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
+			return
 		}
 	}
-	if v <= 0 {
-		h.buckets[0].Add(1)
+}
+
+// LocalHistogram accumulates observations for a Histogram on one
+// goroutine, without atomics, and adds them to it in one Flush. Code that
+// observes in a tight loop on many goroutines at once (one queueing
+// simulator per worker) would otherwise contend on the shared
+// histogram's cache lines on every observation. After a Flush the shared
+// histogram holds exactly the count, buckets, min and max that
+// per-value Observe calls would have given it; its sum differs only by
+// floating-point rounding, since the local sum is added as one term. The
+// zero value is empty and ready to use; a LocalHistogram is not safe for
+// concurrent use.
+type LocalHistogram struct {
+	count    uint64
+	sum      float64
+	min, max float64
+	buckets  [histBuckets]uint64
+}
+
+// Observe records one sample with Histogram.Observe's rules: negative,
+// NaN and -Inf values are ignored, and zero lands in the lowest bucket.
+func (l *LocalHistogram) Observe(v float64) {
+	if math.IsNaN(v) || v < 0 {
 		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
+	if l.count == 0 || v < l.min {
+		l.min = v
+	}
+	if l.count == 0 || v > l.max {
+		l.max = v
+	}
+	l.count++
+	l.sum += v
+	l.buckets[observedBucket(v)]++
+}
+
+// Flush adds the accumulated observations to h and empties l. It is safe
+// to call concurrently with other Flushes and Observes on h.
+func (l *LocalHistogram) Flush(h *Histogram) {
+	if l.count == 0 {
+		return
+	}
+	h.count.Add(l.count)
+	h.addSum(l.sum)
+	h.lowerMin(l.min)
+	h.raiseMax(l.max)
+	for i := range l.buckets {
+		if n := l.buckets[i]; n != 0 {
+			h.buckets[i].Add(n)
+			l.buckets[i] = 0
+		}
+	}
+	l.count, l.sum = 0, 0
 }
 
 // Count returns the number of observations.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +132,92 @@ func TestHistogramDegenerate(t *testing.T) {
 	h2.Observe(0)
 	if h2.Count() != 1 || h2.Quantile(0.5) != 0 {
 		t.Fatalf("zero observation: count=%d p50=%v", h2.Count(), h2.Quantile(0.5))
+	}
+}
+
+// TestLocalHistogramMatchesObserve pins LocalHistogram's contract: after
+// a flush the shared histogram holds the count, buckets, min and max that
+// per-value Observe calls give it, and a sum equal up to rounding. Each
+// input is flushed in two halves, so a flush must also empty the local.
+func TestLocalHistogramMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	random := make([]float64, 5000)
+	for i := range random {
+		random[i] = math.Exp(8 * rng.NormFloat64()) // spans most octaves
+	}
+	negZero := math.Copysign(0, -1)
+	for name, vals := range map[string][]float64{
+		"random":     random,
+		"degenerate": {0, math.NaN(), -1, 1e300, negZero, math.Inf(-1), 1e300, 5e-324, 0, 3},
+		"ignored":    {math.NaN(), -2, math.Inf(-1)},
+		"empty":      nil,
+	} {
+		r := NewRegistry()
+		want, got := r.Histogram("want"), r.Histogram("got")
+		var l LocalHistogram
+		for i, v := range vals {
+			want.Observe(v)
+			l.Observe(v)
+			if i == len(vals)/2 {
+				l.Flush(got)
+			}
+		}
+		l.Flush(got)
+		l.Flush(got) // an empty local adds nothing
+		ws, gs := want.snap(), got.snap()
+		if gs.count != ws.count || gs.buckets != ws.buckets {
+			t.Errorf("%s: count or buckets differ: got %d, want %d", name, gs.count, ws.count)
+		}
+		if math.Float64bits(gs.min) != math.Float64bits(ws.min) || math.Float64bits(gs.max) != math.Float64bits(ws.max) {
+			t.Errorf("%s: min/max = %v/%v, want %v/%v", name, gs.min, gs.max, ws.min, ws.max)
+		}
+		if diff := math.Abs(gs.sum - ws.sum); diff > 1e-12*math.Abs(ws.sum) {
+			t.Errorf("%s: sum = %v, want %v within 1e-12 relative", name, gs.sum, ws.sum)
+		}
+	}
+}
+
+// TestLocalHistogramConcurrentFlush has many goroutines flush into one
+// histogram while others observe into it directly, as one simulator per
+// worker does. Run it with -race; every total must be exact.
+func TestLocalHistogramConcurrentFlush(t *testing.T) {
+	h := NewRegistry().Histogram("lat")
+	const workers, flushes, per = 8, 50, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var l LocalHistogram
+			for f := 0; f < flushes; f++ {
+				for i := 0; i < per; i++ {
+					l.Observe(float64(w + 1)) // values 1..8
+				}
+				l.Flush(h)
+				h.Observe(0.5)
+			}
+		}()
+	}
+	wg.Wait()
+	var wantBuckets [histBuckets]uint64
+	wantBuckets[observedBucket(0.5)] = workers * flushes
+	for w := 0; w < workers; w++ {
+		wantBuckets[observedBucket(float64(w+1))] += flushes * per
+	}
+	s := h.snap()
+	if want := uint64(workers * flushes * (per + 1)); s.count != want {
+		t.Errorf("count = %d, want %d", s.count, want)
+	}
+	if s.buckets != wantBuckets {
+		t.Error("bucket counts differ from the observations")
+	}
+	// Every partial sum is a multiple of 0.5 far below 2^52, so the sum
+	// is exact in any order.
+	if want := flushes*per*(1+2+3+4+5+6+7+8) + workers*flushes*0.5; s.sum != want {
+		t.Errorf("sum = %v, want %v", s.sum, want)
+	}
+	if s.min != 0.5 || s.max != 8 {
+		t.Errorf("min/max = %v/%v, want 0.5/8", s.min, s.max)
 	}
 }
 

@@ -109,6 +109,26 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestForEachWorkerOwnsIndex pins the per-worker contract: the worker
+// index is in range, and no two tasks hold one index at the same time.
+func TestForEachWorkerOwnsIndex(t *testing.T) {
+	for _, tc := range []struct{ workers, n, indices int }{{1, 20, 1}, {3, 200, 3}, {8, 5, 5}} {
+		busy := make([]atomic.Bool, tc.indices)
+		if err := ForEachWorker(tc.workers, tc.n, func(w, i int) error {
+			if w < 0 || w >= tc.indices {
+				return fmt.Errorf("task %d got worker %d, want [0, %d)", i, w, tc.indices)
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				return fmt.Errorf("task %d shares worker %d with a running task", i, w)
+			}
+			busy[w].Store(false)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d n=%d: %v", tc.workers, tc.n, err)
+		}
+	}
+}
+
 func TestForEachZeroTasks(t *testing.T) {
 	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)

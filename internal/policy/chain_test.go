@@ -56,7 +56,7 @@ func TestChainSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewPredictor(model, ds, 2)
+	p, err := core.NewPredictor(model, ds, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"stac/internal/core"
+	"stac/internal/par"
 	"stac/internal/profile"
 	"stac/internal/stats"
 	"stac/internal/testbed"
@@ -271,41 +272,53 @@ func (o SearchOptions) defaults() SearchOptions {
 // predicted response; (2) pick a setting in the intersection. When the
 // intersection is empty the combination minimising the worse normalised
 // response is chosen.
+//
+// The grid's predictions run on p.Workers() workers; the decision is
+// the same at any count.
 func ModelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, opts SearchOptions) (Decision, error) {
+	d, _, err := modelDriven(p, scenarioA, scenarioB, opts)
+	return d, err
+}
+
+// modelDriven is ModelDriven that also returns the median-filtered grids
+// of predicted mean response it matched on, service A's then B's, each
+// indexed [A's timeout][B's timeout].
+func modelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, opts SearchOptions) (Decision, [2][][]float64, error) {
 	opts = opts.defaults()
 	grid := opts.Grid
 	n := len(grid)
 
+	// The 2·n² predictions are independent: fan them out over the
+	// predictor's workers, each into its own slot. Task (i·n+j)·2+side
+	// predicts one side of cell (i, j), so the lowest-index error is the
+	// one a serial scan meets first.
 	respA := make([][]float64, n)
 	respB := make([][]float64, n)
-	bestA, bestB := math.Inf(1), math.Inf(1)
-	for i, tA := range grid {
+	for i := range respA {
 		respA[i] = make([]float64, n)
 		respB[i] = make([]float64, n)
-		for j, tB := range grid {
-			sa := scenarioA
-			sa.Timeout = tA
-			sa.PartnerTimeout = tB
-			sb := scenarioB
-			sb.Timeout = tB
-			sb.PartnerTimeout = tA
-			pa, err := p.PredictResponse(sa)
-			if err != nil {
-				return Decision{}, err
-			}
-			pb, err := p.PredictResponse(sb)
-			if err != nil {
-				return Decision{}, err
-			}
-			// The search optimises predicted *mean* response: tail
-			// estimates carry far more simulation and model noise, and a
-			// policy with low mean response almost always has a low tail
-			// as well (the testbed's tails are queueing-delay-driven).
-			respA[i][j] = pa.MeanResponse
-			respB[i][j] = pb.MeanResponse
-			bestA = math.Min(bestA, pa.MeanResponse)
-			bestB = math.Min(bestB, pb.MeanResponse)
+	}
+	err := par.ForEach(p.Workers(), 2*n*n, func(t int) error {
+		i, j := t/2/n, t/2%n
+		s, resp := scenarioA, respA
+		s.Timeout, s.PartnerTimeout = grid[i], grid[j]
+		if t%2 == 1 {
+			s, resp = scenarioB, respB
+			s.Timeout, s.PartnerTimeout = grid[j], grid[i]
 		}
+		pr, err := p.PredictResponse(s)
+		if err != nil {
+			return err
+		}
+		// The search optimises predicted *mean* response: tail
+		// estimates carry far more simulation and model noise, and a
+		// policy with low mean response almost always has a low tail
+		// as well (the testbed's tails are queueing-delay-driven).
+		resp[i][j] = pr.MeanResponse
+		return nil
+	})
+	if err != nil {
+		return Decision{}, [2][][]float64{}, err
 	}
 
 	// The true response surface is smooth in the timeout plane (adjacent
@@ -315,7 +328,7 @@ func ModelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, opts Sea
 	// spurious dip can hijack the whole search.
 	respA = medianFilterGrid(respA)
 	respB = medianFilterGrid(respB)
-	bestA, bestB = math.Inf(1), math.Inf(1)
+	bestA, bestB := math.Inf(1), math.Inf(1)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			bestA = math.Min(bestA, respA[i][j])
@@ -359,7 +372,8 @@ func ModelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, opts Sea
 			}
 		}
 	}
-	return Decision{Name: "model driven", TimeoutA: grid[pick.i], TimeoutB: grid[pick.j]}, nil
+	return Decision{Name: "model driven", TimeoutA: grid[pick.i], TimeoutB: grid[pick.j]},
+		[2][][]float64{respA, respB}, nil
 }
 
 // ScenarioTemplate builds the scenario skeleton for one side of a pair

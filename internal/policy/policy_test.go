@@ -139,7 +139,7 @@ func TestModelDrivenSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewPredictor(model, ds, 2)
+	p, err := core.NewPredictor(model, ds, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

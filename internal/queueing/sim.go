@@ -24,7 +24,10 @@ import (
 // simSampleEvery) — the simulator's inner loop is only a few hundred
 // nanoseconds per query, and observing every query costs ~45% of it.
 // Distribution shape is preserved; min/max reflect the sampled subset.
-// Counters remain exact.
+// Counters remain exact. A Simulator observes into histograms of its
+// own and flushes them into the shared ones once per run, so simulators
+// running on different goroutines do not contend on the shared
+// histograms' atomics for every sampled query.
 const simSampleEvery = 8
 
 var (
@@ -141,6 +144,10 @@ type Simulator struct {
 	delays     []float64
 	arrs       []float64
 	std        stdStream
+
+	// One run's sampled queries, flushed to the shared histograms when
+	// it ends.
+	service, response, wait obs.LocalHistogram
 }
 
 // standardized is a distribution whose Sample(r) is
@@ -272,9 +279,9 @@ func (s *Simulator) run(cfg Config, keep bool) (Result, error) {
 
 		if q >= cfg.Warmup {
 			if len(res.ResponseTimes)%simSampleEvery == 0 {
-				simServiceSeconds.Observe(work)
-				simResponseSeconds.Observe(completion - now)
-				simWaitSeconds.Observe(start - now)
+				s.service.Observe(work)
+				s.response.Observe(completion - now)
+				s.wait.Observe(start - now)
 			}
 			res.ResponseTimes = append(res.ResponseTimes, completion-now)
 			res.QueueDelays = append(res.QueueDelays, start-now)
@@ -288,6 +295,9 @@ func (s *Simulator) run(cfg Config, keep bool) (Result, error) {
 		res.BoostedFrac = float64(boosted) / float64(cfg.Queries)
 	}
 	s.resp, s.delays, s.arrs = res.ResponseTimes, res.QueueDelays, res.Arrivals
+	s.service.Flush(simServiceSeconds)
+	s.response.Flush(simResponseSeconds)
+	s.wait.Flush(simWaitSeconds)
 	simRuns.Inc()
 	simQueries.Add(uint64(cfg.Queries))
 	simBoosted.Add(uint64(boosted))

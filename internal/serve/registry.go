@@ -193,7 +193,9 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 	if err != nil {
 		return ModelInfo{}, nil, err
 	}
-	pred, err := core.NewPredictor(model, library, r.servers)
+	// One worker: a reload fits its corrections while live predicts wait
+	// on their deadlines, so it must not take their cores.
+	pred, err := core.NewPredictor(model, library, r.servers, 1)
 	if err != nil {
 		return ModelInfo{}, nil, err
 	}

@@ -18,6 +18,7 @@ import (
 
 	"stac/internal/cat"
 	"stac/internal/mrc"
+	"stac/internal/par"
 	"stac/internal/stats"
 	"stac/internal/testbed"
 	"stac/internal/workload"
@@ -75,19 +76,27 @@ func NewModel(proc testbed.Processor, k workload.Kernel, curve mrc.CapacityCurve
 		linesPerWay: hc.LLC.Sets,
 	}
 	// Anchor every integer way count with a solo calibration. The
-	// calibrations are memoised process-wide on their full fingerprint,
-	// so models for the same (processor, kernel) pay this once.
+	// calibrations are independent and fan out over par's default
+	// workers; the lowest failing way count is reported, as a serial
+	// loop would. They are memoised process-wide on their full
+	// fingerprint, so models for the same (processor, kernel) pay this
+	// once.
 	m.anchors = make([]float64, proc.Ways)
-	for w := 1; w <= proc.Ways; w++ {
+	err := par.ForEach(0, proc.Ways, func(i int) error {
+		w := i + 1
 		mask := cat.Setting{Offset: 0, Length: w}.Mask()
 		ref, err := testbed.CalibrateServiceTime(proc, k, mask, 1<<32, cfg.Seed+1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ref <= 0 {
-			return nil, fmt.Errorf("surrogate: anchor calibration of %s at %d ways produced %v", k.Name, w, ref)
+			return fmt.Errorf("surrogate: anchor calibration of %s at %d ways produced %v", k.Name, w, ref)
 		}
-		m.anchors[w-1] = ref
+		m.anchors[i] = ref
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Service-time variability: per-query time is demand × mean access

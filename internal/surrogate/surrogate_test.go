@@ -2,10 +2,14 @@ package surrogate
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"stac/internal/cat"
 	"stac/internal/mrc"
+	"stac/internal/obs"
+	"stac/internal/queueing"
 	"stac/internal/testbed"
 	"stac/internal/workload"
 )
@@ -298,6 +302,133 @@ func TestValidateTopPlans(t *testing.T) {
 				t.Fatalf("degenerate measured p95 for %v", v.Plan)
 			}
 		}
+	}
+}
+
+// TestValidateMatchesSerialRuns pins the fanned-out validation to what
+// running the baseline and each plan on the testbed one after another
+// measures.
+func TestValidateMatchesSerialRuns(t *testing.T) {
+	s := redisSocialSearcher(t, Config{})
+	plans := []Plan{
+		{PrivA: 4, PrivB: 8, Shared: 8, TimeoutA: 0, TimeoutB: 1.5},
+		{PrivA: 9, PrivB: 9, Shared: 2, TimeoutA: 0.5, TimeoutB: 0.5},
+	}
+	var ranked []Evaluation
+	for _, p := range plans {
+		ev, err := s.Evaluate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked = append(ranked, ev)
+	}
+	const queries = 60
+	vals, err := s.Validate(ranked, len(ranked), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p95 := func(p Plan) [2]float64 {
+		run, err := testbed.Run(s.Condition(p, queries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]float64{run.Services[0].P95Response(), run.Services[1].P95Response()}
+	}
+	base := p95(s.basePlan)
+	for i, v := range vals {
+		want := p95(plans[i])
+		if v.MeasuredP95 != want {
+			t.Errorf("plan %v: measured p95 %v, serial run %v", plans[i], v.MeasuredP95, want)
+		}
+		for j := 0; j < 2; j++ {
+			if got := v.MeasuredSpeedup[j]; got != base[j]/want[j] {
+				t.Errorf("plan %v service %d: speedup %v, serial %v", plans[i], j, got, base[j]/want[j])
+			}
+		}
+	}
+}
+
+// TestSimulateAcrossGOMAXPROCSChanges is a regression test: simulate
+// used to size its simulators from one GOMAXPROCS read and fan out from
+// a second, so a rise in between handed a worker an index with no
+// simulator and crashed the process. GOMAXPROCS rises between calls,
+// which must grow the simulator list, and then flips between 2 and 4
+// from another goroutine during calls; every result must match the
+// one-worker run.
+func TestSimulateAcrossGOMAXPROCSChanges(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := redisSocialSearcher(t, Config{SimQueries: 40})
+	var cfgs []queueing.Config
+	for _, p := range []Plan{
+		{PrivA: 4, PrivB: 8, Shared: 8, TimeoutA: 0, TimeoutB: 1.5},
+		{PrivA: 9, PrivB: 9, Shared: 2, TimeoutA: 0.5, TimeoutB: 0.5},
+	} {
+		pc := s.planConfigs(p, [2]float64{})
+		cfgs = append(cfgs, pc[:]...)
+	}
+	run := func() [4]simOut {
+		jobs := make([]simJob, len(cfgs))
+		for i, c := range cfgs {
+			jobs[i].cfg = c
+		}
+		if err := s.simulate(jobs); err != nil {
+			t.Fatal(err)
+		}
+		var out [4]simOut
+		for i := range out {
+			out[i] = jobs[i].out
+		}
+		return out
+	}
+	s.sims = nil
+	want := run()
+	runtime.GOMAXPROCS(4)
+	if got := run(); got != want {
+		t.Fatalf("after GOMAXPROCS 1 -> 4: %+v, want %+v", got, want)
+	}
+	if len(s.sims) != 4 {
+		t.Fatalf("%d simulators after a four-job run at GOMAXPROCS 4, want 4", len(s.sims))
+	}
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for procs := 2; ; procs = 6 - procs {
+			select {
+			case <-stop:
+				return
+			default:
+				// Each change stops the world; the pause between them
+				// keeps the loop below running.
+				runtime.GOMAXPROCS(procs)
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+	for i := 0; i < 10000; i++ {
+		s.sims = nil
+		if got := run(); got != want {
+			t.Fatalf("while GOMAXPROCS changes: %+v, want %+v", got, want)
+		}
+	}
+}
+
+// TestValidateRejectsNegativeK is a regression test: a negative k used
+// to run the baseline on the testbed and then panic sizing the result.
+func TestValidateRejectsNegativeK(t *testing.T) {
+	s := redisSocialSearcher(t, Config{})
+	ev, err := s.Evaluate(Plan{PrivA: 4, PrivB: 8, Shared: 8, TimeoutA: 0, TimeoutB: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := obs.C("testbed/runs")
+	before := runs.Load()
+	if _, err := s.Validate([]Evaluation{ev}, -1, 60); err == nil {
+		t.Fatal("Validate accepted k = -1")
+	}
+	if n := runs.Load() - before; n != 0 {
+		t.Errorf("Validate with k = -1 ran %d testbed runs, want 0", n)
 	}
 }
 

@@ -281,8 +281,9 @@ type TrainOptions struct {
 	Servers int
 	// Seed drives training randomness.
 	Seed uint64
-	// Workers bounds training parallelism (0 = GOMAXPROCS, 1 =
-	// sequential). The trained model is identical at any count.
+	// Workers bounds training parallelism, including the predictor's
+	// correction fit and FindPolicy's grid predictions (0 = GOMAXPROCS,
+	// 1 = sequential). The trained model is identical at any count.
 	Workers int
 }
 
@@ -303,7 +304,7 @@ func Train(ds Dataset, opts TrainOptions) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewPredictor(model, ds, servers)
+	return core.NewPredictor(model, ds, servers, opts.Workers)
 }
 
 // NewScenario builds a prediction scenario for one service of a profiled
