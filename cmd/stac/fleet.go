@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"stac/internal/fleet"
+	"stac/internal/obs"
 )
 
 // cmdFleet runs a cluster-scale scenario: N heterogeneous machines
@@ -21,9 +22,7 @@ func cmdFleet(args []string) error {
 	epochs := fs.Int("epochs", 0, "override number of epochs")
 	migrate := fs.Bool("migrate", false, "enable or disable the model-driven migrator (default: scenario's setting)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "node-simulation parallelism (0 = GOMAXPROCS)")
-	fresh := fs.Bool("fresh-machines", false,
-		"rebuild node machines every epoch instead of resetting persistent ones (slower; identical results)")
+	workers := fs.Int("workers", 0, "concurrent node simulations (0 = GOMAXPROCS)")
 	jsonOut := fs.String("json", "", "write the full result as JSON to this path ('-' = stdout)")
 	registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -53,13 +52,16 @@ func cmdFleet(args []string) error {
 		}
 	})
 	cfg.Workers = *workers
-	cfg.FreshMachines = *fresh
 
+	specRuns, specDiscards := obs.C("fleet/speculative_runs"), obs.C("fleet/speculative_discards")
+	runs0, discards0 := specRuns.Load(), specDiscards.Load()
 	res, err := fleet.Run(cfg)
 	if err != nil {
 		return err
 	}
 	printFleet(res, *scenario)
+	fmt.Printf("  speculative node runs: %d started, %d discarded\n",
+		specRuns.Load()-runs0, specDiscards.Load()-discards0)
 
 	if *jsonOut != "" {
 		buf, err := json.MarshalIndent(res, "", "  ")

@@ -49,6 +49,31 @@ func BenchmarkFleetRun(b *testing.B) {
 	_ = warm
 }
 
+// BenchmarkFleetRunHotShift measures the hot-shift scenario with the
+// migrator at GOMAXPROCS workers, in fleet queries per second of wall
+// clock. Here the epoch pipeline pays off: the big node's run of epoch
+// e+1 overlaps its run of epoch e, which a single worker cannot show.
+func BenchmarkFleetRunHotShift(b *testing.B) {
+	cfg := ScenarioHotShift(3, true)
+	cfg.Workers = 0
+	if _, err := Run(cfg); err != nil { // populate the calibration memo outside the timer
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += res.Queries
+	}
+	b.StopTimer()
+	if total > 0 {
+		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "queries/s")
+	}
+}
+
 // BenchmarkMigrationDecision measures the latency of one full migrator
 // pass — per-replica queueing-model predictions plus candidate
 // evaluation — over a fleet state primed so the hot service misses its

@@ -90,20 +90,31 @@ func fleetDigest(res *Result) string {
 // goldenFleet are the pinned scenario digests: the drain scenario
 // exercises forced migration, re-routing and heterogeneous nodes; the
 // balance config exercises replicated routing under power-of-two-
-// choices. When a semantic change to the fleet (or the underlying
-// machine loop) is intended, rerun and copy the new digests from the
-// failure output in the same commit.
+// choices; hotshift makes one SLA move, so the epoch it first serves is
+// speculated under the old placement and re-run; locality routes on
+// the previous epoch's warmth and is never speculated; diurnal varies
+// the arrival rate every epoch. When a semantic change to the fleet (or
+// the underlying machine loop) is intended, rerun and copy the new
+// digests from the failure output in the same commit.
 var goldenFleet = map[string]string{
-	"drain":   "ef564239356d1ba8466644abcbc232d13a243275bb51a7d105ceb4458fdc5fc0",
-	"balance": "8b1210d7e09eac5207d2eb8b89723b5b5ee2023764ad0d279e001724fdc050b1",
+	"drain":    "ef564239356d1ba8466644abcbc232d13a243275bb51a7d105ceb4458fdc5fc0",
+	"balance":  "8b1210d7e09eac5207d2eb8b89723b5b5ee2023764ad0d279e001724fdc050b1",
+	"hotshift": "32c35bcb5c056d9f273fd62983db66d31ead640f0dbe4b94afb67b3517e4ad21",
+	"locality": "980b76f05522c09bd112dd4dd890d5cd2a965bd65bc26261dba5ea3d4e1870ab",
+	"diurnal":  "1a92dcadf7b1b44470cf82815b1d22be595538846b75de0e72652e7c3a87539b",
 }
 
 func goldenFleetConfigs() map[string]Config {
 	drain := ScenarioDrain(11)
 	drain.Epochs = 4
+	hot := ScenarioHotShift(7, true)
+	hot.Epochs = 6
 	return map[string]Config{
-		"drain":   drain,
-		"balance": balanceConfig(5, PowerOfTwo),
+		"drain":    drain,
+		"balance":  balanceConfig(5, PowerOfTwo),
+		"hotshift": hot,
+		"locality": balanceConfig(9, Locality),
+		"diurnal":  ScenarioDiurnal(3),
 	}
 }
 

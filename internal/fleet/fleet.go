@@ -124,9 +124,10 @@ type Config struct {
 	Epochs int
 	// EpochQueries sizes the epoch: the epoch length is chosen so the
 	// slowest-arriving service receives about this many queries at rate
-	// multiplier 1 (default 60).
+	// multiplier 1 (default 60; negative is rejected).
 	EpochQueries int
-	// EpochLen overrides the derived epoch length (simulated seconds).
+	// EpochLen overrides the derived epoch length (simulated seconds;
+	// 0 derives it from EpochQueries, negative is rejected).
 	EpochLen float64
 	// Migrate enables the model-driven migrator.
 	Migrate bool
@@ -135,23 +136,18 @@ type Config struct {
 	// 1.4 over 24 queries): the cold-cache warmup cost of moving.
 	ColdPenalty float64
 	ColdQueries int
-	// DrainNode, when set, drains the named node starting at DrainEpoch:
-	// the router stops sending to it and every hosted service is force-
-	// migrated away (reason "drain").
+	// DrainNode, when set, drains the named node starting at DrainEpoch
+	// (which must lie in [0, Epochs)): the router stops sending to it and
+	// every hosted service is force-migrated away (reason "drain").
 	DrainNode  string
 	DrainEpoch int
 	// Rollout, when non-nil, rolls the new CAT plan across nodes one
 	// epoch at a time.
 	Rollout *Rollout
-	// Workers bounds the per-epoch node fan-out (<= 0: GOMAXPROCS).
-	// Results are identical at any worker count.
+	// Workers bounds how many node runs execute at once, across both
+	// epochs in flight (<= 0: GOMAXPROCS). Results are identical at any
+	// worker count.
 	Workers int
-	// FreshMachines disables per-node machine reuse: every (epoch, node)
-	// run constructs a new testbed machine instead of resetting the
-	// node's persistent one. Results are identical either way — the
-	// fleet tests pin both paths to the same golden digests — so the
-	// flag exists purely for A/B measurement of the reuse fast path.
-	FreshMachines bool
 	// Seed drives every random stream in the run.
 	Seed uint64
 }
@@ -204,47 +200,78 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// maxTagged bounds the node and service counts: each merged response
+// carries its node and service as one-byte tags.
+const maxTagged = 256
+
+// ConfigError reports a Config that Validate rejects. Field names the
+// offending Config field, so callers can tell a bad configuration from
+// a failure during the run with errors.As.
+type ConfigError struct {
+	Field string
+	Msg   string
+	Err   error // underlying cause, if any
+}
+
+func (e *ConfigError) Error() string {
+	if e.Err != nil {
+		return "fleet: " + e.Msg + ": " + e.Err.Error()
+	}
+	return "fleet: " + e.Msg
+}
+
+func (e *ConfigError) Unwrap() error { return e.Err }
+
+func configErr(field, format string, args ...any) error {
+	return &ConfigError{Field: field, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Validate reports configuration errors as *ConfigError.
 func (c Config) Validate() error {
 	if len(c.Nodes) == 0 {
-		return fmt.Errorf("fleet: no nodes")
+		return configErr("Nodes", "no nodes")
 	}
 	if len(c.Services) == 0 {
-		return fmt.Errorf("fleet: no services")
+		return configErr("Services", "no services")
+	}
+	if len(c.Nodes) > maxTagged {
+		return configErr("Nodes", "%d nodes exceed the limit of %d", len(c.Nodes), maxTagged)
+	}
+	if len(c.Services) > maxTagged {
+		return configErr("Services", "%d services exceed the limit of %d", len(c.Services), maxTagged)
 	}
 	names := map[string]bool{}
-	for i, n := range c.Nodes {
+	for _, n := range c.Nodes {
 		if names[n.Name] {
-			return fmt.Errorf("fleet: duplicate node name %q", n.Name)
+			return configErr("Nodes", "duplicate node name %q", n.Name)
 		}
 		names[n.Name] = true
 		if err := n.Processor.Validate(); err != nil {
-			return fmt.Errorf("fleet: node %q: %w", n.Name, err)
+			return &ConfigError{Field: "Nodes", Msg: fmt.Sprintf("node %q", n.Name), Err: err}
 		}
 		if n.maxServices(n.PrivateWays, n.SharedWays) < 1 {
-			return fmt.Errorf("fleet: node %q cannot host any service under plan [%d|%d]",
+			return configErr("Nodes", "node %q cannot host any service under plan [%d|%d]",
 				n.Name, n.PrivateWays, n.SharedWays)
 		}
 		if c.Rollout != nil && n.maxServices(c.Rollout.PrivateWays, c.Rollout.SharedWays) < 1 {
-			return fmt.Errorf("fleet: node %q cannot host any service under rollout plan [%d|%d]",
+			return configErr("Rollout", "node %q cannot host any service under rollout plan [%d|%d]",
 				n.Name, c.Rollout.PrivateWays, c.Rollout.SharedWays)
 		}
-		_ = i
 	}
 	total := 0
 	for i, s := range c.Services {
 		if s.Load <= 0 || s.Load >= 1 {
-			return fmt.Errorf("fleet: service %d load %v outside (0,1)", i, s.Load)
+			return configErr("Services", "service %d load %v outside (0,1)", i, s.Load)
 		}
 		if s.Replicas < 1 || s.Replicas > len(c.Nodes) {
-			return fmt.Errorf("fleet: service %d replicas %d outside [1,%d]", i, s.Replicas, len(c.Nodes))
+			return configErr("Services", "service %d replicas %d outside [1,%d]", i, s.Replicas, len(c.Nodes))
 		}
 		if s.Nodes != nil && len(s.Nodes) != s.Replicas {
-			return fmt.Errorf("fleet: service %d pins %d nodes for %d replicas", i, len(s.Nodes), s.Replicas)
+			return configErr("Services", "service %d pins %d nodes for %d replicas", i, len(s.Nodes), s.Replicas)
 		}
 		for _, nm := range s.Nodes {
 			if !names[nm] {
-				return fmt.Errorf("fleet: service %d pinned to unknown node %q", i, nm)
+				return configErr("Services", "service %d pinned to unknown node %q", i, nm)
 			}
 		}
 		total += s.Replicas
@@ -254,16 +281,28 @@ func (c Config) Validate() error {
 		cap += n.maxServices(n.PrivateWays, n.SharedWays)
 	}
 	if total > cap {
-		return fmt.Errorf("fleet: %d replicas exceed fleet capacity %d", total, cap)
-	}
-	if c.DrainNode != "" && !names[c.DrainNode] {
-		return fmt.Errorf("fleet: drain node %q unknown", c.DrainNode)
+		return configErr("Services", "%d replicas exceed fleet capacity %d", total, cap)
 	}
 	if c.Epochs <= 0 {
-		return fmt.Errorf("fleet: non-positive epochs")
+		return configErr("Epochs", "non-positive epochs")
+	}
+	if c.EpochQueries < 0 {
+		return configErr("EpochQueries", "negative epoch queries %d", c.EpochQueries)
+	}
+	if !(c.EpochLen >= 0) || math.IsInf(c.EpochLen, 1) {
+		return configErr("EpochLen", "epoch length %v not a finite non-negative time", c.EpochLen)
+	}
+	if c.DrainNode != "" {
+		if !names[c.DrainNode] {
+			return configErr("DrainNode", "drain node %q unknown", c.DrainNode)
+		}
+		if c.DrainEpoch < 0 || c.DrainEpoch >= c.Epochs {
+			return configErr("DrainEpoch", "drain epoch %d outside the run's epochs [0,%d)",
+				c.DrainEpoch, c.Epochs)
+		}
 	}
 	if c.ColdPenalty < 1 {
-		return fmt.Errorf("fleet: cold penalty %v below 1", c.ColdPenalty)
+		return configErr("ColdPenalty", "cold penalty %v below 1", c.ColdPenalty)
 	}
 	return nil
 }

@@ -1,0 +1,128 @@
+package fleet
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"stac/internal/obs"
+)
+
+// TestSpeculationOutcomes pins that both outcomes of the epoch pipeline
+// run: the hot-shift golden config's SLA move invalidates the epoch
+// speculated under the old placement, so its started runs are
+// discarded, while balance never moves a service and keeps every
+// speculative run, and locality speculates nothing. Whatever the
+// outcome, only adopted runs count as
+// fleet node runs, and the testbed runs exactly the adopted runs plus
+// the discarded ones.
+func TestSpeculationOutcomes(t *testing.T) {
+	specRuns := obs.C("fleet/speculative_runs")
+	discards := obs.C("fleet/speculative_discards")
+	nodeRuns := obs.C("fleet/node_runs")
+	testbedRuns := obs.C("testbed/runs")
+	for _, tc := range []struct {
+		name         string
+		wantDiscards bool
+	}{
+		{"hotshift", true},
+		{"balance", false},
+		{"locality", false},
+	} {
+		for _, workers := range []int{1, 2} {
+			cfg := goldenFleetConfigs()[tc.name]
+			cfg.Workers = workers
+			spec0, disc0 := specRuns.Load(), discards.Load()
+			node0, tb0 := nodeRuns.Load(), testbedRuns.Load()
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			spec, disc := specRuns.Load()-spec0, discards.Load()-disc0
+			node, tb := nodeRuns.Load()-node0, testbedRuns.Load()-tb0
+			if got := fleetDigest(res); got != goldenFleet[tc.name] {
+				t.Errorf("%s workers=%d: digest %s, want %s", tc.name, workers, got, goldenFleet[tc.name])
+			}
+			if tc.wantDiscards != (disc > 0) {
+				t.Errorf("%s workers=%d: %d speculative runs discarded, want discards=%v",
+					tc.name, workers, disc, tc.wantDiscards)
+			}
+			if tc.name == "locality" && spec != 0 {
+				t.Errorf("locality workers=%d: %d speculative runs; Locality routes on the previous epoch's warmth and must not speculate",
+					workers, spec)
+			}
+			if tc.name == "balance" && spec == 0 {
+				t.Errorf("balance workers=%d: nothing speculated", workers)
+			}
+			if tb != node+disc {
+				t.Errorf("%s workers=%d: testbed ran %d runs, want %d adopted + %d discarded",
+					tc.name, workers, tb, node, disc)
+			}
+		}
+	}
+}
+
+// TestConfigRejectsInertSettings pins that settings which would make the
+// run silently do nothing fail validation with a typed error naming the
+// field: a drain epoch the run never reaches, and negative epoch sizes
+// (every epoch would get zero arrivals and report p95 0). So does a
+// fleet too large for the merge's one-byte node tags.
+func TestConfigRejectsInertSettings(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"DrainEpoch", func(c *Config) { c.Epochs = 2 }},
+		{"DrainEpoch", func(c *Config) { c.DrainEpoch = c.Epochs }},
+		{"DrainEpoch", func(c *Config) { c.DrainEpoch = -1 }},
+		{"EpochQueries", func(c *Config) { c.EpochQueries = -5 }},
+		{"EpochLen", func(c *Config) { c.EpochLen = -0.1 }},
+		{"EpochLen", func(c *Config) { c.EpochLen = math.NaN() }},
+		{"EpochLen", func(c *Config) { c.EpochLen = math.Inf(1) }},
+		{"Nodes", func(c *Config) {
+			for len(c.Nodes) <= maxTagged {
+				c.Nodes = append(c.Nodes, c.Nodes[2])
+				c.Nodes[len(c.Nodes)-1].Name = fmt.Sprintf("extra%d", len(c.Nodes))
+			}
+		}},
+	} {
+		cfg := ScenarioDrain(1).Defaults()
+		tc.edit(&cfg)
+		_, err := Run(cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: Run error = %v, want a *ConfigError for field %s", tc.field, err, tc.field)
+		}
+	}
+	// The boundary cases stay valid: the last epoch can drain, and a
+	// drain epoch without a drain node is ignored.
+	last := ScenarioDrain(1).Defaults()
+	last.DrainEpoch = last.Epochs - 1
+	if err := last.Validate(); err != nil {
+		t.Errorf("drain at the last epoch rejected: %v", err)
+	}
+	noDrain := ScenarioStatic(1).Defaults()
+	noDrain.DrainEpoch = 99
+	if err := noDrain.Validate(); err != nil {
+		t.Errorf("drain epoch without a drain node rejected: %v", err)
+	}
+}
+
+// TestRunErrorWithSpeculationInFlight pins the error path: the rollout
+// reaches the mid node at epoch 2 with a plan that fits only one of its
+// two services, while the next epoch's speculative runs are already
+// queued. Run must report the failing epoch and node, the same at any
+// worker count, and return (stopping its workers) instead of hanging.
+func TestRunErrorWithSpeculationInFlight(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		cfg := ScenarioStatic(1)
+		cfg.Rollout = &Rollout{StartEpoch: 1, PrivateWays: 8, SharedWays: 0}
+		cfg.Workers = workers
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "fleet: epoch 2 node mid:") {
+			t.Errorf("workers=%d: err = %v, want the epoch 2 failure on node mid", workers, err)
+		}
+	}
+}

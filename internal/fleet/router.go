@@ -98,6 +98,17 @@ func newRouter(cfg Config, rng *stats.RNG) *router {
 	return r
 }
 
+// copyFrom overwrites the state r's routing decisions read with src's,
+// so speculative routing can run ahead without touching the live
+// router. picks and maxBacklog only record decisions and are left as
+// they are. Both routers must come from the same configuration.
+func (r *router) copyFrom(src *router) {
+	*r.rng = *src.rng
+	copy(r.backlog, src.backlog)
+	copy(r.lastT, src.lastT)
+	copy(r.rr, src.rr)
+}
+
 // drain advances a node's fluid backlog to time t.
 func (r *router) drain(node int, t float64) {
 	if dt := t - r.lastT[node]; dt > 0 {

@@ -3,13 +3,13 @@ package fleet
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"stac/internal/obs"
-	"stac/internal/par"
 	"stac/internal/queueing"
 	"stac/internal/stats"
 	"stac/internal/testbed"
-	"stac/internal/workload"
 )
 
 var (
@@ -20,18 +20,12 @@ var (
 	fleetNodeRuns   = obs.C("fleet/node_runs")
 	fleetTruncated  = obs.C("fleet/truncated_runs")
 	fleetResets     = obs.C("fleet/machine_resets")
+	// Speculation (pipeline.go): node runs started from a speculative
+	// plan, and those of them whose results were thrown away. Only the
+	// discarded ones add to testbed/runs beyond fleet/node_runs.
+	fleetSpecRuns     = obs.C("fleet/speculative_runs")
+	fleetSpecDiscards = obs.C("fleet/speculative_discards")
 )
-
-// nodeRun is one node's slot in an epoch's machine fan-out. The slots
-// live in state and are reused every epoch.
-type nodeRun struct {
-	active  bool
-	cond    testbed.Condition
-	hosted  []int
-	res     *testbed.RunResult
-	snap    testbed.Snapshot
-	queries int
-}
 
 // state carries a fleet run between epochs.
 type state struct {
@@ -63,37 +57,41 @@ type state struct {
 
 	epochLen float64
 
-	// machines holds one persistent testbed machine per node,
-	// constructed on the node's first active epoch and Reset (arena
-	// hierarchy, ring queues and scratch reused) on every subsequent
-	// one. Safe under the epoch fan-out: par.ForEach gives each worker
-	// exclusive ownership of its node index.
-	machines []*testbed.Machine
+	// Epoch pipeline (pipeline.go). The driver goroutine alone touches
+	// these, except jobs, workers and stopping, which coordinate the
+	// worker goroutines.
+	draws      draws   // the last epoch drawn
+	drawn      int     // epochs drawn so far
+	pos        []int   // [svc] routing merge cursor
+	plans      []*plan // released plans, reused by newPlan
+	specRouter *router // speculative copy of router
+	specCold   [][]int // speculative copy of cold
+	jobs       chan job
+	workers    sync.WaitGroup
+	stopping   atomic.Bool
 
-	// Pooled per-epoch scratch, reused across epochs so the steady-state
-	// epoch loop allocates only what escapes into the result.
-	arrivals    [][]arrival             // [svc] generated arrivals
-	sched       [][][]workload.Query    // [node][svc] routed schedules
-	epochRouted [][]int                 // [svc][node] routed counts
-	pos         []int                   // [svc] merge cursor
-	runs        []nodeRun               // [node] fan-out slots
-	condSvcs    [][]testbed.ServiceSpec // [node] condition service backings
-	epochResp   []float64               // this epoch's merged responses
-	svcEpoch    [][]float64             // [svc] this epoch's responses
+	// machines holds each node's idle testbed machines. A machine is
+	// constructed when a run finds none idle and is Reset (arena
+	// hierarchy, ring queues and scratch reused) for every later run.
+	machMu   sync.Mutex
+	machines [][]*testbed.Machine // [node]
 
 	// Migration-model scratch (migrate.go): a buffer-reusing queueing
 	// simulator, the per-pass prediction memo and the persistent
-	// solo-calibration memo. All touched only from the driver goroutine
-	// (migrate/drain run strictly between epoch fan-outs).
+	// solo-calibration memo. All touched only from the driver goroutine.
 	msim     *queueing.Simulator
 	predMemo map[predKey]float64
 	soloMemo map[soloKey]float64
 
-	// Accumulators.
+	// Accumulators. Each merged response is stored once, in (epoch,
+	// node, service, query) order, tagged with its node and service;
+	// per-node and per-service statistics filter respAll by tag, keeping
+	// that order, so their float sums match separate copies.
 	respAll     []float64
-	epochP95    []float64 // fleet-wide p95, one entry per finished epoch
-	respByNode  [][]float64
-	respBySvc   [][]float64
+	respNode    []uint8
+	respSvc     []uint8
+	tagScratch  []float64   // tagged's result buffer
+	epochP95    []float64   // fleet-wide p95, one entry per finished epoch
 	epochSvcP95 [][]float64 // [svc][epoch]
 	migrations  []MigrationEvent
 	migCount    []int // per-service
@@ -118,23 +116,18 @@ func newState(cfg Config) (*state, error) {
 		share:       make([][]float64, ns),
 		svcRNG:      make([]*stats.RNG, ns),
 		qid:         make([]int, ns),
-		machines:    make([]*testbed.Machine, nn),
-		arrivals:    make([][]arrival, ns),
-		sched:       make([][][]workload.Query, nn),
-		epochRouted: make([][]int, ns),
 		pos:         make([]int, ns),
-		runs:        make([]nodeRun, nn),
-		condSvcs:    make([][]testbed.ServiceSpec, nn),
-		svcEpoch:    make([][]float64, ns),
+		specRouter:  newRouter(cfg, new(stats.RNG)),
+		specCold:    make([][]int, nn),
+		machines:    make([][]*testbed.Machine, nn),
 		msim:        queueing.NewSimulator(),
 		predMemo:    make(map[predKey]float64),
 		soloMemo:    make(map[soloKey]float64),
 		epochP95:    make([]float64, 0, cfg.Epochs),
-		respByNode:  make([][]float64, nn),
-		respBySvc:   make([][]float64, ns),
 		epochSvcP95: make([][]float64, ns),
 		migCount:    make([]int, ns),
 	}
+	st.draws = draws{arrivals: make([][]arrival, ns), seeds: make([]uint64, nn)}
 	kernelCount := map[string]int{}
 	for _, s := range cfg.Services {
 		kernelCount[s.Kernel.Name]++
@@ -158,13 +151,12 @@ func newState(cfg Config) (*state, error) {
 		st.warmth[i] = make([]float64, nn)
 		st.meas[i] = make([]float64, nn)
 		st.share[i] = make([]float64, nn)
-		st.epochRouted[i] = make([]int, nn)
 		st.epochSvcP95[i] = make([]float64, 0, cfg.Epochs)
 		st.svcRNG[i] = root.Split()
 	}
 	for n := range cfg.Nodes {
 		st.cold[n] = make([]int, ns)
-		st.sched[n] = make([][]workload.Query, ns)
+		st.specCold[n] = make([]int, ns)
 	}
 	if err := st.place(); err != nil {
 		return nil, err
@@ -245,21 +237,20 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer obs.Span("fleet/run")()
 	fleetRuns.Inc()
+	st.startWorkers()
+	defer st.stopWorkers()
+	var spec *plan
 	for e := 0; e < cfg.Epochs; e++ {
-		if err := st.epoch(e); err != nil {
+		if spec, err = st.epoch(e, spec); err != nil {
 			return nil, err
 		}
 	}
 	return st.finish(), nil
 }
 
-// arrival is one generated query awaiting its routing decision.
-type arrival struct {
-	svc int
-	q   workload.Query
-}
-
-func (st *state) epoch(e int) error {
+// epoch runs epoch e with at most two epochs in flight. spec is e's
+// speculative plan, queued while e-1 ran, or nil; epoch returns e+1's.
+func (st *state) epoch(e int, spec *plan) (*plan, error) {
 	defer obs.Span("fleet/epoch")()
 	fleetEpochsDone.Inc()
 
@@ -267,224 +258,111 @@ func (st *state) epoch(e int) error {
 	// receiving traffic and its services are force-migrated first.
 	if st.cfg.DrainNode != "" && e == st.cfg.DrainEpoch {
 		if err := st.drain(e); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
-	// 1. Generate every service's arrivals for this epoch from its
-	// persistent stream (rate multiplier applied per epoch).
-	arrivals := st.arrivals
-	for i, s := range st.cfg.Services {
-		arrivals[i] = arrivals[i][:0]
-		r := st.rate[i] * s.rateAt(e)
-		if r <= 0 {
-			continue
+	// Route e for real on the live router and cold-penalty state, after
+	// the previous epoch's migrator and this epoch's drain. Keep the
+	// speculative runs only if the real plan asks for exactly them.
+	cur := st.routePlan(e, st.router, st.cold)
+	fleetRouted.Add(uint64(cur.routed))
+	if spec != nil && spec.sameInputs(cur) {
+		st.release(cur)
+		cur = spec
+	} else {
+		if spec != nil {
+			st.discard(spec)
 		}
-		inter := stats.Exponential{Rate: r}
-		t := 0.0
-		for {
-			t += inter.Sample(st.svcRNG[i])
-			if t >= st.epochLen {
-				break
-			}
-			acc := int(st.cfg.Services[i].Kernel.Demand.Sample(st.svcRNG[i]))
-			if acc < 1 {
-				acc = 1
-			}
-			arrivals[i] = append(arrivals[i], arrival{
-				svc: i,
-				q:   workload.Query{ID: st.qid[i], Arrival: t, Accesses: acc},
-			})
-			st.qid[i]++
-		}
+		st.submit(cur)
 	}
 
-	// 2. Route in global arrival order (k-way merge, ties to the lower
-	// service index) — a single deterministic sequential pass.
-	sched := st.sched
-	for n := range sched {
-		for i := range sched[n] {
-			sched[n][i] = sched[n][i][:0]
-		}
+	// While e runs, speculate e+1 under the current placement.
+	var next *plan
+	if st.speculates(e + 1) {
+		next = st.speculate(e + 1)
 	}
-	for i := range st.epochRouted {
-		routedRow := st.epochRouted[i]
-		for n := range routedRow {
-			routedRow[n] = 0
-		}
-	}
-	pos := st.pos
-	for i := range pos {
-		pos[i] = 0
-	}
-	routed := 0
-	for {
-		best := -1
-		for i := range arrivals {
-			if pos[i] >= len(arrivals[i]) {
-				continue
-			}
-			if best < 0 || arrivals[i][pos[i]].q.Arrival < arrivals[best][pos[best]].q.Arrival {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		a := arrivals[best][pos[best]]
-		pos[best]++
-		work := st.expRef[a.svc] * float64(a.q.Accesses) / st.demandMean[a.svc]
-		n := st.router.route(a.svc, a.q.Arrival, st.placement[a.svc], st.warmth[a.svc], work)
-		if c := st.cold[n][a.svc]; c > 0 {
-			// Cold-cache warmup: inflate demand, decaying linearly over
-			// the first ColdQueries queries on the new node.
-			factor := 1 + (st.cfg.ColdPenalty-1)*float64(c)/float64(st.cfg.ColdQueries)
-			a.q.Accesses = int(float64(a.q.Accesses) * factor)
-			st.cold[n][a.svc] = c - 1
-		}
-		sched[n][a.svc] = append(sched[n][a.svc], a.q)
-		st.epochRouted[a.svc][n]++
-		routed++
-	}
-	fleetRouted.Add(uint64(routed))
 
-	// 3. Build per-node conditions into the pooled fan-out slots. Seeds
-	// are drawn sequentially for every node (even skipped ones) so the
-	// stream stays aligned regardless of which nodes run. Node machines
-	// run lean (DisableCounterWindows): the fleet merge consumes only
-	// query timings and terminal occupancy, never counter windows.
-	for n, spec := range st.cfg.Nodes {
-		nr := &st.runs[n]
-		seed := st.seedRNG.Uint64()
-		nr.res = nil
-		nr.active = false
-		hosted := nr.hosted[:0]
-		queries := 0
-		for i := range st.cfg.Services {
-			if containsInt(st.placement[i], n) {
-				hosted = append(hosted, i)
-				queries += len(sched[n][i])
-			}
-		}
-		nr.hosted = hosted
-		if len(hosted) == 0 || queries == 0 {
-			continue
-		}
-		priv, shared := st.cfg.nodePlan(e, n)
-		svcSpecs := st.condSvcs[n][:0]
-		for _, i := range hosted {
-			qs := sched[n][i]
-			if qs == nil {
-				qs = []workload.Query{}
-			}
-			svcSpecs = append(svcSpecs, testbed.ServiceSpec{
-				Kernel:   st.cfg.Services[i].Kernel,
-				Timeout:  st.cfg.Services[i].Timeout,
-				Schedule: qs,
-			})
-		}
-		st.condSvcs[n] = svcSpecs
-		cond := testbed.Condition{
-			Processor:             spec.Processor,
-			Services:              svcSpecs,
-			PrivateWays:           priv,
-			SharedWays:            shared,
-			CoresPerService:       spec.CoresPerService,
-			Seed:                  seed,
-			CalibrationSeed:       st.cfg.Seed + uint64(n)*104729 + 1,
-			DisableCounterWindows: true,
-		}
-		nr.cond = cond.Defaults()
-		nr.queries = queries
-		nr.active = true
-	}
-	err := par.ForEach(st.cfg.Workers, len(st.runs), func(n int) error {
-		nr := &st.runs[n]
-		if !nr.active {
-			return nil
-		}
-		m := st.machines[n]
-		var err error
-		if m == nil || st.cfg.FreshMachines {
-			if m, err = testbed.NewMachine(nr.cond); err != nil {
-				return fmt.Errorf("fleet: epoch %d node %s: %w", e, st.cfg.Nodes[n].Name, err)
-			}
-			st.machines[n] = m
-		} else {
-			if err = m.Reset(nr.cond); err != nil {
-				return fmt.Errorf("fleet: epoch %d node %s: %w", e, st.cfg.Nodes[n].Name, err)
-			}
-			fleetResets.Inc()
-		}
-		res, err := m.Run()
-		if err != nil {
-			return fmt.Errorf("fleet: epoch %d node %s: %w", e, st.cfg.Nodes[n].Name, err)
-		}
-		nr.res = res
-		nr.snap = m.Snapshot()
-		fleetNodeRuns.Inc()
-		return nil
-	})
+	<-cur.done
+	err := st.merge(cur)
+	st.release(cur)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	// 4. Merge, in deterministic (node, service, query) order.
+	// Let the migrator adjust placement for the next epoch.
+	if st.cfg.Migrate && e+1 < st.cfg.Epochs {
+		st.migrate(e)
+	}
+	st.dropEmptyNodes()
+	return next, nil
+}
+
+// merge folds a finished plan into the run in deterministic (node,
+// service, query) order. A failed node run fails the run; the lowest
+// node's error is reported.
+func (st *state) merge(p *plan) error {
+	for n := range p.runs {
+		if nr := &p.runs[n]; nr.active && nr.err != nil {
+			return nr.err
+		}
+	}
 	for i := range st.cfg.Services {
 		total := 0
 		for n := range st.cfg.Nodes {
 			st.warmth[i][n] = 0
 			st.meas[i][n] = 0
 			st.share[i][n] = 0
-			total += st.epochRouted[i][n]
+			total += len(p.sched[n][i])
 		}
 		if total > 0 {
 			for n := range st.cfg.Nodes {
-				st.share[i][n] = float64(st.epochRouted[i][n]) / float64(total)
+				st.share[i][n] = float64(len(p.sched[n][i])) / float64(total)
 			}
 		}
 	}
-	epochResp := st.epochResp[:0]
-	for i := range st.svcEpoch {
-		st.svcEpoch[i] = st.svcEpoch[i][:0]
-	}
-	for n := range st.runs {
-		nr := &st.runs[n]
+	start := len(st.respAll)
+	for n := range p.runs {
+		nr := &p.runs[n]
 		if !nr.active {
 			continue
 		}
-		if nr.res.Truncated {
+		fleetNodeRuns.Inc()
+		if nr.truncated {
 			st.truncated++
 			fleetTruncated.Inc()
 		}
+		lo := 0
 		for j, i := range nr.hosted {
-			sr := nr.res.Services[j]
-			rt := sr.ResponseTimes()
-			st.respByNode[n] = append(st.respByNode[n], rt...)
-			st.respBySvc[i] = append(st.respBySvc[i], rt...)
-			st.svcEpoch[i] = append(st.svcEpoch[i], rt...)
-			epochResp = append(epochResp, rt...)
-			st.respAll = append(st.respAll, rt...)
-			if ts := sr.ServiceTimes(); len(ts) > 0 {
-				st.meas[i][n] = stats.Mean(ts)
+			out := nr.out[j]
+			st.respAll = append(st.respAll, nr.resp[lo:out.end]...)
+			for range out.end - lo {
+				st.respNode = append(st.respNode, uint8(n))
+				st.respSvc = append(st.respSvc, uint8(i))
 			}
-			st.warmth[i][n] = float64(nr.snap.Services[j].OccupancyLines)
+			lo = out.end
+			st.meas[i][n] = out.meanService
+			st.warmth[i][n] = out.occupancy
 		}
-		// Release the run result: it references the pooled schedule
-		// buffers the next epoch's router will overwrite.
-		nr.res = nil
 	}
-	st.epochResp = epochResp
-	st.epochP95 = append(st.epochP95, p95OrZero(epochResp))
+	st.epochP95 = append(st.epochP95, p95OrZero(st.respAll[start:]))
 	for i := range st.cfg.Services {
-		st.epochSvcP95[i] = append(st.epochSvcP95[i], p95OrZero(st.svcEpoch[i]))
-	}
-
-	// 5. Let the migrator adjust placement for the next epoch.
-	if st.cfg.Migrate && e+1 < st.cfg.Epochs {
-		st.migrate(e)
+		st.epochSvcP95[i] = append(st.epochSvcP95[i], p95OrZero(st.tagged(start, st.respSvc, i)))
 	}
 	return nil
+}
+
+// tagged returns, in merge order, the responses from index start on
+// whose tag is v. The slice is reused by the next call.
+func (st *state) tagged(start int, tags []uint8, v int) []float64 {
+	out := st.tagScratch[:0]
+	for k, t := range tags[start:] {
+		if int(t) == v {
+			out = append(out, st.respAll[start+k])
+		}
+	}
+	st.tagScratch = out
+	return out
 }
 
 func (st *state) finish() *Result {
@@ -504,11 +382,12 @@ func (st *state) finish() *Result {
 	}
 	out.EpochP95 = append(out.EpochP95, st.epochP95...)
 	for n, spec := range st.cfg.Nodes {
+		resp := st.tagged(0, st.respNode, n)
 		nr := NodeResult{
 			Name:       spec.Name,
-			Queries:    len(st.respByNode[n]),
-			Mean:       meanOrZero(st.respByNode[n]),
-			P95:        p95OrZero(st.respByNode[n]),
+			Queries:    len(resp),
+			Mean:       meanOrZero(resp),
+			P95:        p95OrZero(resp),
 			MaxBacklog: st.router.maxBacklog[n],
 			Routed:     map[string]int{},
 		}
@@ -520,11 +399,12 @@ func (st *state) finish() *Result {
 		out.Nodes = append(out.Nodes, nr)
 	}
 	for i := range st.cfg.Services {
+		resp := st.tagged(0, st.respSvc, i)
 		sr := ServiceResult{
 			Name:       st.svcName[i],
-			Queries:    len(st.respBySvc[i]),
-			Mean:       meanOrZero(st.respBySvc[i]),
-			P95:        p95OrZero(st.respBySvc[i]),
+			Queries:    len(resp),
+			Mean:       meanOrZero(resp),
+			P95:        p95OrZero(resp),
 			SLA:        st.sla[i],
 			EpochP95:   st.epochSvcP95[i],
 			Migrations: st.migCount[i],
