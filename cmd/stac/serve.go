@@ -22,12 +22,29 @@ import (
 // admission control. SIGHUP (or POST /admin/reload) hot-reloads the
 // model from its paths; SIGINT/SIGTERM drain and exit.
 func cmdServe(args []string) error {
+	engine, addr, err := serveEngine(args)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		engine.Close()
+		return err
+	}
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	return serveUntilSignal(engine, ln, sigs)
+}
+
+// serveEngine parses stac serve's flags and returns an engine with the
+// model loaded, and the address to listen on.
+func serveEngine(args []string) (*serve.Engine, string, error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	model := fs.String("model", "", "trained deep-forest model file (required)")
 	data := fs.String("data", "", "profiling dataset the model was trained on (required)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	maxBatch := fs.Int("max-batch", 64, "max predictions coalesced into one model call")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max wait for batch companions")
 	queue := fs.Int("queue", 1024, "admission queue depth (full queue sheds with 503)")
 	rate := fs.Float64("rate", 0, "admission rate limit in predictions/sec (0 = unlimited; excess sheds with 429)")
 	burst := fs.Int("burst", 256, "rate-limit burst")
@@ -36,19 +53,18 @@ func cmdServe(args []string) error {
 	servers := fs.Int("servers", 2, "per-service parallelism the predictor models")
 	registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, "", err
 	}
 	if err := startObs(); err != nil {
-		return err
+		return nil, "", err
 	}
 	if *model == "" || *data == "" {
-		return fmt.Errorf("serve: -model and -data are required")
+		return nil, "", fmt.Errorf("serve: -model and -data are required")
 	}
 
 	engine := serve.NewEngine(serve.Config{
 		Servers:         *servers,
 		MaxBatch:        *maxBatch,
-		MaxDelay:        *maxDelay,
 		QueueDepth:      *queue,
 		RateLimit:       *rate,
 		RateBurst:       *burst,
@@ -57,20 +73,23 @@ func cmdServe(args []string) error {
 	})
 	info, err := engine.LoadModel(*model, *data)
 	if err != nil {
-		return err
+		engine.Close()
+		return nil, "", err
 	}
 	fmt.Printf("loaded model v%d: %d profile rows, services %s\n",
 		info.Version, info.Rows, strings.Join(info.Services, ", "))
+	return engine, *addr, nil
+}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
+// serveUntilSignal serves the engine's HTTP front end on ln until a
+// signal other than SIGHUP arrives on sigs; each SIGHUP hot-reloads the
+// model. It returns once in-flight requests have drained and the engine
+// is closed.
+func serveUntilSignal(engine *serve.Engine, ln net.Listener, sigs <-chan os.Signal) error {
 	httpSrv := &http.Server{Handler: serve.NewServer(engine).Handler()}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		for sig := range sigs {
 			if sig == syscall.SIGHUP {
 				if info, err := engine.Reload(); err != nil {
@@ -93,6 +112,8 @@ func cmdServe(args []string) error {
 	if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
 		return err
 	}
+	// Serve returns as soon as Shutdown starts; wait for it to finish.
+	<-drained
 	return nil
 }
 
@@ -117,7 +138,6 @@ func cmdLoadtest(args []string) error {
 	services := fs.String("services", "", "comma-separated services (default: all the model serves)")
 	jsonPath := fs.String("json", "", "write the result as JSON to this path")
 	maxBatch := fs.Int("max-batch", 64, "in-process engine: max batch size")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "in-process engine: max batch delay")
 	cache := fs.Int("cache", 65536, "in-process engine: prediction cache entries (negative disables)")
 	registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -139,7 +159,7 @@ func cmdLoadtest(args []string) error {
 		target = t
 	case *model != "" && *data != "":
 		engine := serve.NewEngine(serve.Config{
-			MaxBatch: *maxBatch, MaxDelay: *maxDelay, CacheSize: *cache,
+			MaxBatch: *maxBatch, CacheSize: *cache,
 		})
 		info, err := engine.LoadModel(*model, *data)
 		if err != nil {

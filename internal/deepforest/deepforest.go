@@ -143,10 +143,15 @@ func (c Config) validate(numFeatures int) error {
 
 // Model is a trained deep forest.
 type Model struct {
-	cfg     Config
-	grains  []*grain
-	cascade [][]*forest.Forest // [level][forest]
+	cfg      Config
+	features int // input width the model was trained on
+	grains   []*grain
+	cascade  [][]*forest.Forest // [level][forest]
 }
+
+// NumFeatures returns the input width the model was trained on; Predict
+// expects feature vectors of exactly this length.
+func (m *Model) NumFeatures() int { return m.features }
 
 // grain is one trained MGS window forest with its precomputed positions.
 type grain struct {
@@ -197,7 +202,7 @@ func Train(x [][]float64, y []float64, cfg Config, rng *stats.RNG) (*Model, erro
 	if err := cfg.validate(len(x[0])); err != nil {
 		return nil, err
 	}
-	model := &Model{cfg: cfg}
+	model := &Model{cfg: cfg, features: len(x[0])}
 	defer obs.Span("deepforest/train")()
 
 	// --- Multi-grain scanning ---

@@ -130,6 +130,19 @@ func buildForestTree(fr *Frame, y []float64, cfg Config, t int, r *stats.RNG, ti
 	return nil
 }
 
+// NumInputs returns how many leading features the forest reads: one
+// more than the largest split feature. Predict needs x at least this
+// long.
+func (f *Forest) NumInputs() int {
+	n := 0
+	for _, t := range f.trees {
+		for _, nd := range t.nodes {
+			n = max(n, nd.feature+1)
+		}
+	}
+	return n
+}
+
 // Predict returns the ensemble mean for one feature vector.
 func (f *Forest) Predict(x []float64) float64 {
 	if len(f.trees) == 0 {

@@ -41,23 +41,52 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary decodes a tree (encoding.BinaryUnmarshaler).
+// FormatError reports serialised bytes that do not decode to a usable
+// tree or forest: a corrupt encoding, an empty tree or forest, or an
+// internal node whose children do not come after it. The builder lays
+// trees out in preorder, so every trained tree passes, and a decoded
+// tree's Predict always reaches a leaf.
+type FormatError struct {
+	Msg string
+	Err error // the decoder's error, if any
+}
+
+func (e *FormatError) Error() string {
+	if e.Err != nil {
+		return "forest: " + e.Msg + ": " + e.Err.Error()
+	}
+	return "forest: " + e.Msg
+}
+
+func (e *FormatError) Unwrap() error { return e.Err }
+
+// UnmarshalBinary decodes a tree (encoding.BinaryUnmarshaler). It fails
+// with a *FormatError.
 func (t *Tree) UnmarshalBinary(data []byte) error {
+	if fe := t.decode(data); fe != nil {
+		return fe
+	}
+	return nil
+}
+
+func (t *Tree) decode(data []byte) *FormatError {
 	var dto treeDTO
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
-		return err
+		return &FormatError{Msg: "decode tree", Err: err}
 	}
 	n := len(dto.Feature)
+	if n == 0 {
+		return &FormatError{Msg: "empty tree"}
+	}
 	if len(dto.Thresh) != n || len(dto.Left) != n || len(dto.Right) != n || len(dto.Value) != n {
-		return fmt.Errorf("forest: corrupt tree encoding")
+		return &FormatError{Msg: "tree node arrays differ in length"}
 	}
 	t.nodes = make([]node, n)
 	for i := range t.nodes {
 		left, right := dto.Left[i], dto.Right[i]
-		if dto.Feature[i] >= 0 {
-			if left < 0 || int(left) >= n || right < 0 || int(right) >= n {
-				return fmt.Errorf("forest: tree child index out of range")
-			}
+		if dto.Feature[i] >= 0 && !(int(left) > i && int(left) < n && int(right) > i && int(right) < n) {
+			return &FormatError{Msg: fmt.Sprintf("node %d: children %d and %d do not both come after it in a %d-node tree",
+				i, left, right, n)}
 		}
 		t.nodes[i] = node{
 			feature: int(dto.Feature[i]),
@@ -95,17 +124,21 @@ func (f *Forest) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary decodes a forest.
+// UnmarshalBinary decodes a forest. It fails with a *FormatError.
 func (f *Forest) UnmarshalBinary(data []byte) error {
 	var dto forestDTO
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
-		return err
+		return &FormatError{Msg: "decode forest", Err: err}
+	}
+	if len(dto.Trees) == 0 {
+		return &FormatError{Msg: "empty forest"}
 	}
 	f.trees = make([]*Tree, len(dto.Trees))
 	for i, b := range dto.Trees {
 		t := &Tree{}
-		if err := t.UnmarshalBinary(b); err != nil {
-			return err
+		if fe := t.decode(b); fe != nil {
+			fe.Msg = fmt.Sprintf("tree %d: %s", i, fe.Msg)
+			return fe
 		}
 		f.trees[i] = t
 	}

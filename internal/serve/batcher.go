@@ -21,15 +21,16 @@ type batchResult struct {
 }
 
 // batcher coalesces concurrent single predictions into PredictBatch
-// calls. Its bounded channel doubles as the admission queue: Submit
-// sheds immediately when the queue is full, and the dispatcher fails
-// requests whose deadline passed while queued *before* the model is
-// invoked. Requests carry their acquired model version, so a batch
-// never mixes versions across a hot reload — the dispatcher flushes the
-// running batch at a version boundary.
+// calls. It is work-conserving: whenever the model is free, the
+// dispatcher runs whatever is queued at once, so a lone request never
+// waits for companions and batch size follows load. Its bounded channel
+// doubles as the admission queue: Submit sheds immediately when the
+// queue is full, and the dispatcher fails requests whose deadline
+// passed while queued *before* the model is invoked. Requests carry
+// their acquired model version, so a batch never mixes versions across
+// a hot reload — a version boundary ends the batch.
 type batcher struct {
 	maxBatch int
-	maxDelay time.Duration
 	queue    chan *batchRequest
 
 	// Submitters hold inflight between the draining check and the
@@ -46,10 +47,9 @@ type batcher struct {
 	shedLate   *obs.Counter
 }
 
-func newBatcher(maxBatch int, maxDelay time.Duration, depth int, reg *obs.Registry) *batcher {
+func newBatcher(maxBatch, depth int, reg *obs.Registry) *batcher {
 	b := &batcher{
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		queue:    make(chan *batchRequest, depth),
 		closing:  make(chan struct{}),
 		done:     make(chan struct{}),
@@ -57,6 +57,9 @@ func newBatcher(maxBatch int, maxDelay time.Duration, depth int, reg *obs.Regist
 		queueDepth: reg.Gauge("serve/queue/depth"),
 		batchSize:  reg.Histogram("serve/batch/size"),
 		flushFull:  reg.Counter("serve/batch/flush_full"),
+		// flush_delay counts batches flushed short of maxBatch: the queue
+		// ran dry or a version boundary ended them. The name stays
+		// because perfbench reads it.
 		flushDelay: reg.Counter("serve/batch/flush_delay"),
 		shedQueue:  reg.Counter("serve/shed/queue_full"),
 		shedLate:   reg.Counter("serve/shed/deadline"),
@@ -98,18 +101,24 @@ func (b *batcher) close() {
 	<-b.done
 }
 
-// run is the dispatcher loop: collect up to maxBatch requests of one
-// model version, or whatever arrived within maxDelay of the first.
+// run is the dispatcher loop. It blocks for the first request, adds
+// whatever is already queued for the same model version, up to
+// maxBatch and without blocking, and calls the model at once. Requests
+// that arrive while the model runs form the next batch. A request of
+// another version ends the batch and starts the next one.
 func (b *batcher) run() {
 	defer close(b.done)
-	var timer *time.Timer
-	for first := range b.queue {
-		batch := []*batchRequest{first}
-		if timer == nil {
-			timer = time.NewTimer(b.maxDelay)
-		} else {
-			timer.Reset(b.maxDelay)
+	var next *batchRequest
+	for {
+		first := next
+		if first == nil {
+			var ok bool
+			if first, ok = <-b.queue; !ok {
+				return
+			}
 		}
+		next = nil
+		batch := []*batchRequest{first}
 	collect:
 		for len(batch) < b.maxBatch {
 			select {
@@ -118,26 +127,15 @@ func (b *batcher) run() {
 					break collect
 				}
 				if req.v != first.v {
-					// Version boundary: answer the old version's batch
-					// before starting the new one.
-					b.flush(batch, false)
-					first = req
-					batch = []*batchRequest{req}
-					continue
+					next = req
+					break collect
 				}
 				batch = append(batch, req)
-			case <-timer.C:
-				b.flush(batch, false)
-				batch = nil
+			default:
 				break collect
 			}
 		}
-		if batch != nil {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			b.flush(batch, len(batch) >= b.maxBatch)
-		}
+		b.flush(batch)
 		b.queueDepth.Set(float64(len(b.queue)))
 	}
 }
@@ -145,8 +143,8 @@ func (b *batcher) run() {
 // flush answers one batch: requests whose deadline has already passed
 // fail without ever reaching the model; the survivors share one
 // PredictBatch call.
-func (b *batcher) flush(batch []*batchRequest, full bool) {
-	if full {
+func (b *batcher) flush(batch []*batchRequest) {
+	if len(batch) >= b.maxBatch {
 		b.flushFull.Inc()
 	} else {
 		b.flushDelay.Inc()

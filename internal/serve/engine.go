@@ -17,11 +17,9 @@ type Config struct {
 	// (default 2, matching the evaluation deployments).
 	Servers int
 	// MaxBatch caps how many queued predictions one PredictBatch call
-	// absorbs (default 64).
+	// absorbs (default 64). The batcher never waits for companions: a
+	// batch is whatever queued while the model was busy.
 	MaxBatch int
-	// MaxDelay bounds how long the first queued prediction waits for
-	// companions before the batch flushes anyway (default 2ms).
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; a full queue sheds with a
 	// typed 503 (default 1024).
 	QueueDepth int
@@ -47,9 +45,6 @@ func (c Config) defaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -111,14 +106,15 @@ type Engine struct {
 	limiter  *tokenBucket
 	draining atomic.Bool
 
-	requests    *obs.Counter
-	predictions *obs.Counter
-	errors      *obs.Counter
-	latency     *obs.Histogram
-	shedRate    *obs.Counter
-	shedDrain   *obs.Counter
-	modelVer    *obs.Gauge
-	reloads     *obs.Counter
+	requests     *obs.Counter
+	predictions  *obs.Counter
+	errors       *obs.Counter
+	latency      *obs.Histogram
+	shedRate     *obs.Counter
+	shedDrain    *obs.Counter
+	modelVer     *obs.Gauge
+	reloads      *obs.Counter
+	reloadErrors *obs.Counter
 }
 
 // NewEngine assembles an engine around an empty registry; load a model
@@ -128,18 +124,19 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.Servers),
-		batcher:  newBatcher(cfg.MaxBatch, cfg.MaxDelay, cfg.QueueDepth, cfg.Obs),
+		batcher:  newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.Obs),
 		cache:    newPredCache(cfg.CacheSize, cfg.Obs),
 		limiter:  newTokenBucket(cfg.RateLimit, cfg.RateBurst),
 
-		requests:    cfg.Obs.Counter("serve/requests"),
-		predictions: cfg.Obs.Counter("serve/predictions"),
-		errors:      cfg.Obs.Counter("serve/errors"),
-		latency:     cfg.Obs.Histogram("serve/predict/latency"),
-		shedRate:    cfg.Obs.Counter("serve/shed/rate_limited"),
-		shedDrain:   cfg.Obs.Counter("serve/shed/draining"),
-		modelVer:    cfg.Obs.Gauge("serve/model/version"),
-		reloads:     cfg.Obs.Counter("serve/model/reloads"),
+		requests:     cfg.Obs.Counter("serve/requests"),
+		predictions:  cfg.Obs.Counter("serve/predictions"),
+		errors:       cfg.Obs.Counter("serve/errors"),
+		latency:      cfg.Obs.Histogram("serve/predict/latency"),
+		shedRate:     cfg.Obs.Counter("serve/shed/rate_limited"),
+		shedDrain:    cfg.Obs.Counter("serve/shed/draining"),
+		modelVer:     cfg.Obs.Gauge("serve/model/version"),
+		reloads:      cfg.Obs.Counter("serve/model/reloads"),
+		reloadErrors: cfg.Obs.Counter("serve/model/reload_errors"),
 	}
 	return e
 }
@@ -149,42 +146,40 @@ func (e *Engine) Registry() *Registry { return e.registry }
 
 // LoadModel loads (or hot-reloads) a model + library pair from disk.
 // The swap is atomic; the old version drains. The prediction cache is
-// cleared — its entries belong to the retired model.
+// cleared — its entries belong to the retired model. A file that fails
+// to load leaves the current version serving.
 func (e *Engine) LoadModel(modelPath, dataPath string) (ModelInfo, error) {
 	info, _, err := e.registry.Load(modelPath, dataPath)
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	e.afterSwap(info)
-	return info, nil
+	return e.swapped(info, err)
 }
 
 // Install hot-swaps an in-memory model + library (tests, embedders).
 func (e *Engine) Install(model BatchModel, library profile.Dataset) (ModelInfo, error) {
 	info, _, err := e.registry.Install(model, library)
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	e.afterSwap(info)
-	return info, nil
+	return e.swapped(info, err)
 }
 
-// Reload re-reads the registry's configured paths.
+// Reload re-reads the registry's configured paths. A malformed model
+// file fails with the decoder's typed error (*deepforest.FormatError)
+// and the current version keeps serving.
 func (e *Engine) Reload() (ModelInfo, error) {
 	info, _, err := e.registry.Reload()
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	e.afterSwap(info)
-	return info, nil
+	return e.swapped(info, err)
 }
 
-func (e *Engine) afterSwap(info ModelInfo) {
+// swapped accounts for one load attempt: a failure moves
+// serve/model/reload_errors, a success clears the prediction cache.
+func (e *Engine) swapped(info ModelInfo, err error) (ModelInfo, error) {
+	if err != nil {
+		e.reloadErrors.Inc()
+		return ModelInfo{}, err
+	}
 	if e.cache != nil {
 		e.cache.clear()
 	}
 	e.modelVer.Set(float64(info.Version))
 	e.reloads.Inc()
+	return info, nil
 }
 
 // Close drains the engine: new requests shed with a typed 503, queued

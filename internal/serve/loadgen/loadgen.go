@@ -10,7 +10,9 @@
 //     inter-arrivals paced by internal/workload sources) replayed in
 //     real time at a target rate, independent of completions. Measures
 //     latency at a fixed offered load, the honest tail-latency setup —
-//     a closed loop hides queueing delay by self-throttling.
+//     a closed loop hides queueing delay by self-throttling. Each
+//     request is timed from its due time, so a generator that falls
+//     behind its schedule shows up in the latencies.
 //
 // Requests draw from a deterministic pool of runtime conditions
 // (Config.Conditions). The pool size controls how cacheable the
@@ -43,8 +45,8 @@ type Config struct {
 	// outstanding requests in open-loop mode (default 4).
 	Workers int
 	// Duration is the measured interval (default 5s); Warmup runs the
-	// same loop unrecorded first (default 1s) so caches and batch
-	// timers reach steady state.
+	// closed loop unrecorded first (default 1s; negative disables) so
+	// caches reach steady state.
 	Duration time.Duration
 	Warmup   time.Duration
 	// TargetQPS is the open-loop offered load (required for open mode).
@@ -117,9 +119,11 @@ type Result struct {
 	// Errors counts shed/failed requests by typed code.
 	Errors map[string]int `json:"errors,omitempty"`
 
-	// Overruns counts open-loop arrivals the generator dispatched late
-	// (client fell behind the schedule) — nonzero means the offered
-	// load was not actually sustained client-side.
+	// Overruns counts open-loop arrivals the generator dispatched more
+	// than 1 ms late (client fell behind the schedule) — nonzero means
+	// the offered load was not actually sustained client-side. Open-loop
+	// latencies run from each arrival's due time, so they include that
+	// lag.
 	Overruns int `json:"overruns,omitempty"`
 	// Dropped counts open-loop arrivals discarded because the
 	// outstanding-request bound was hit.
@@ -282,16 +286,17 @@ func runOpen(cfg Config, target Target, pool []serve.PredictRequest) (Result, er
 		issued++
 		req := pool[int(rng.Float64()*float64(len(pool)))%len(pool)]
 		wg.Add(1)
-		go func(req serve.PredictRequest) {
+		// Latency runs from the due time, not from dispatch: a request
+		// the generator sent late waited that long too.
+		go func(req serve.PredictRequest, due time.Time) {
 			defer wg.Done()
-			t0 := time.Now()
 			resp, err := target.Predict(req)
-			lat := time.Since(t0)
+			lat := time.Since(due)
 			mu.Lock()
 			st.record(resp, err, lat)
 			mu.Unlock()
 			<-sem
-		}(req)
+		}(req, due)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()

@@ -80,6 +80,31 @@ func TestOpenLoopSmoke(t *testing.T) {
 	}
 }
 
+// TestOpenLoopTimesFromDueTime drives the open loop far faster than
+// the generator can dispatch, against an instant target: each request
+// goes out later than the last, and the last about as late as the run
+// overran its schedule. The reported tail must include that lag, not
+// just the target's microseconds.
+func TestOpenLoopTimesFromDueTime(t *testing.T) {
+	const duration = 10 * time.Millisecond
+	res, err := Run(Config{
+		Mode: "open", Workers: 8, TargetQPS: 1e7,
+		Duration: duration, Warmup: -1,
+		Services: []string{"redis"}, Conditions: 8,
+	}, &stubTarget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overruns == 0 {
+		t.Fatalf("the generator kept up with 1e7 arrivals/s: %+v", res)
+	}
+	lagMS := res.Seconds*1e3 - float64(duration)/float64(time.Millisecond)
+	if res.P99MS < lagMS/2 {
+		t.Errorf("p99 %.3f ms hides the generator's lag: the run overran its %v schedule by %.3f ms",
+			res.P99MS, duration, lagMS)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Services: nil}, &stubTarget{}); err == nil {
 		t.Error("no services: want an error")

@@ -189,6 +189,12 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 	if library.Len() == 0 {
 		return ModelInfo{}, nil, fmt.Errorf("serve: empty profile library")
 	}
+	// A model trained on another schema would read its features out of
+	// place, or past the end of the builder's vectors.
+	if m, ok := model.(interface{ NumFeatures() int }); ok && m.NumFeatures() != library.Schema.NumFeatures() {
+		return ModelInfo{}, nil, fmt.Errorf("serve: model takes %d features, the library's schema has %d",
+			m.NumFeatures(), library.Schema.NumFeatures())
+	}
 	builder, err := core.NewInputBuilder(library)
 	if err != nil {
 		return ModelInfo{}, nil, err

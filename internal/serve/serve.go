@@ -14,8 +14,8 @@
 //	            runtime conditions move on a much slower timescale, so
 //	            steady-state consults are cache hits
 //	batcher     concurrent single predictions coalesce into
-//	            deepforest.Model.PredictBatch calls (max-batch /
-//	            max-delay knobs)
+//	            deepforest.Model.PredictBatch calls: whatever queued
+//	            while the model was busy runs together, up to max-batch
 //	registry    versioned models loaded from disk with atomic hot
 //	            reload; the old version is drained (in-flight requests
 //	            finish on it), never dropped mid-request

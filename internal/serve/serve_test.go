@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,17 +12,24 @@ import (
 )
 
 // stubModel is a deterministic BatchModel that counts invocations and
-// rows, and can block batch calls on a gate for queue-pressure tests.
+// rows, records each batch call's size, and can block batch calls on a
+// gate for queue-pressure tests.
 type stubModel struct {
 	ea    float64
 	calls atomic.Int64 // PredictBatch invocations
 	rows  atomic.Int64 // total rows across invocations
 	gate  chan struct{}
+
+	mu    sync.Mutex
+	sizes []int // rows per PredictBatch call, in call order
 }
 
 func (m *stubModel) Predict(features []float64) float64 { return m.ea }
 
 func (m *stubModel) PredictBatch(features [][]float64) []float64 {
+	m.mu.Lock()
+	m.sizes = append(m.sizes, len(features))
+	m.mu.Unlock()
 	m.calls.Add(1)
 	m.rows.Add(int64(len(features)))
 	if m.gate != nil {
@@ -32,6 +40,13 @@ func (m *stubModel) PredictBatch(features [][]float64) []float64 {
 		out[i] = m.ea
 	}
 	return out
+}
+
+// batchSizes returns the rows of every PredictBatch call so far.
+func (m *stubModel) batchSizes() []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]int(nil), m.sizes...)
 }
 
 // syntheticLibrary builds a tiny in-memory profiling library: enough
@@ -212,10 +227,9 @@ func TestRegistryReloadDrainsOldVersion(t *testing.T) {
 func TestBatcherDeadlineExceededBeforeModel(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := &stubModel{ea: 0.5}
-	b := newBatcher(4, 5*time.Millisecond, 16, reg)
+	b := newBatcher(4, 16, reg)
 	defer b.close()
-	v := &Version{model: m, drained: make(chan struct{})}
-	v.refs.Store(1)
+	v := testVersion(m)
 
 	_, serr := b.submit(v, []float64{1}, time.Now().Add(-time.Millisecond))
 	if serr == nil || serr.Code != CodeDeadlineExceeded {
@@ -233,11 +247,10 @@ func TestBatcherFullQueueSheds503(t *testing.T) {
 	reg := obs.NewRegistry()
 	gate := make(chan struct{})
 	m := &stubModel{ea: 0.5, gate: gate}
-	// maxBatch 1 so the dispatcher flushes (and blocks on the gate)
-	// immediately; queue depth 1 so one waiter fills the queue.
-	b := newBatcher(1, time.Millisecond, 1, reg)
-	v := &Version{model: m, drained: make(chan struct{})}
-	v.refs.Store(1)
+	// Queue depth 1 so one waiter fills the queue while the dispatcher
+	// is blocked on the gate.
+	b := newBatcher(1, 1, reg)
+	v := testVersion(m)
 	far := time.Now().Add(time.Minute)
 
 	first := make(chan *Error, 1)
@@ -279,34 +292,168 @@ func TestBatcherFullQueueSheds503(t *testing.T) {
 	b.close()
 }
 
-func TestBatcherMaxDelayFlushesSingleWaiter(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := &stubModel{ea: 0.5}
-	maxDelay := 10 * time.Millisecond
-	b := newBatcher(64, maxDelay, 16, reg)
-	defer b.close()
+// testVersion wraps a model in a version with the submitter's
+// reference already taken.
+func testVersion(m BatchModel) *Version {
 	v := &Version{model: m, drained: make(chan struct{})}
 	v.refs.Store(1)
+	return v
+}
 
-	start := time.Now()
-	got, serr := b.submit(v, []float64{1}, time.Now().Add(time.Minute))
-	elapsed := time.Since(start)
-	if serr != nil {
-		t.Fatalf("submit: %v", serr)
+// submitAsync submits one request on its own goroutine and waits until
+// it is queued, so successive calls enqueue in call order while the
+// dispatcher is held in the model.
+func submitAsync(t *testing.T, b *batcher, v *Version, wg *sync.WaitGroup, got chan<- float64) {
+	t.Helper()
+	queued := len(b.queue)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ea, serr := b.submit(v, []float64{1}, time.Now().Add(time.Minute))
+		if serr != nil {
+			t.Errorf("submit: %v", serr)
+		}
+		got <- ea
+	}()
+	for len(b.queue) == queued {
+		time.Sleep(100 * time.Microsecond)
 	}
-	if got != 0.5 {
-		t.Errorf("prediction = %v, want 0.5", got)
+}
+
+// holdFirstCall submits one request and waits until the dispatcher has
+// taken it into the model, where m's gate holds it.
+func holdFirstCall(t *testing.T, b *batcher, m *stubModel, v *Version, wg *sync.WaitGroup, got chan<- float64) {
+	t.Helper()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ea, serr := b.submit(v, []float64{0}, time.Now().Add(time.Minute))
+		if serr != nil {
+			t.Errorf("submit: %v", serr)
+		}
+		got <- ea
+	}()
+	for m.calls.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
 	}
-	// A lone waiter must be answered by the max-delay timer, not wait
-	// for a full batch that will never form.
-	if elapsed > 20*maxDelay {
-		t.Errorf("single waiter took %v, max-delay flush (%v) did not fire", elapsed, maxDelay)
+}
+
+func TestBatcherLoneRequestRunsAlone(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := &stubModel{ea: 0.5, gate: make(chan struct{})}
+	b := newBatcher(64, 16, reg)
+	defer b.close()
+	v := testVersion(m)
+
+	var wg sync.WaitGroup
+	got := make(chan float64, 1)
+	// The model is entered while nothing else is queued: the dispatcher
+	// did not wait for companions.
+	holdFirstCall(t, b, m, v, &wg, got)
+	close(m.gate)
+	wg.Wait()
+	if ea := <-got; ea != 0.5 {
+		t.Errorf("prediction = %v, want 0.5", ea)
 	}
-	if b.flushDelay.Load() == 0 {
-		t.Error("flush_delay counter is zero; the timer path never ran")
+	if sizes := m.batchSizes(); !slices.Equal(sizes, []int{1}) {
+		t.Errorf("batch sizes = %v, want one single-row call", sizes)
 	}
-	if got := m.rows.Load(); got != 1 {
-		t.Errorf("model saw %d rows, want 1", got)
+	if full, short := b.flushFull.Load(), b.flushDelay.Load(); full != 0 || short != 1 {
+		t.Errorf("flush_full = %d, flush_delay = %d, want 0 and 1", full, short)
+	}
+}
+
+func TestBatcherQueuedRequestsFormNextBatch(t *testing.T) {
+	const maxBatch = 8
+	for _, k := range []int{1, 3, maxBatch} {
+		reg := obs.NewRegistry()
+		m := &stubModel{ea: 0.5, gate: make(chan struct{})}
+		b := newBatcher(maxBatch, 16, reg)
+		v := testVersion(m)
+
+		var wg sync.WaitGroup
+		got := make(chan float64, k+1)
+		holdFirstCall(t, b, m, v, &wg, got)
+		for i := 0; i < k; i++ {
+			submitAsync(t, b, v, &wg, got)
+		}
+		close(m.gate)
+		wg.Wait()
+		b.close()
+		if sizes := m.batchSizes(); !slices.Equal(sizes, []int{1, k}) {
+			t.Errorf("k=%d: batch sizes = %v, want [1 %d]", k, sizes, k)
+		}
+		wantFull := uint64(0)
+		if k == maxBatch {
+			wantFull = 1
+		}
+		if full := b.flushFull.Load(); full != wantFull {
+			t.Errorf("k=%d: flush_full = %d, want %d", k, full, wantFull)
+		}
+	}
+}
+
+func TestBatcherSplitsBacklogIntoFullBatches(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := &stubModel{ea: 0.5, gate: make(chan struct{})}
+	b := newBatcher(4, 16, reg)
+	v := testVersion(m)
+
+	var wg sync.WaitGroup
+	got := make(chan float64, 12)
+	holdFirstCall(t, b, m, v, &wg, got)
+	for i := 0; i < 11; i++ {
+		submitAsync(t, b, v, &wg, got)
+	}
+	close(m.gate)
+	wg.Wait()
+	b.close()
+	if sizes := m.batchSizes(); !slices.Equal(sizes, []int{1, 4, 4, 3}) {
+		t.Errorf("batch sizes = %v, want [1 4 4 3]", sizes)
+	}
+	if full, short := b.flushFull.Load(), b.flushDelay.Load(); full != 2 || short != 2 {
+		t.Errorf("flush_full = %d, flush_delay = %d, want 2 and 2", full, short)
+	}
+}
+
+func TestBatcherNeverMixesVersions(t *testing.T) {
+	reg := obs.NewRegistry()
+	m1 := &stubModel{ea: 0.25, gate: make(chan struct{})}
+	m2 := &stubModel{ea: 0.75}
+	b := newBatcher(64, 16, reg)
+	v1, v2 := testVersion(m1), testVersion(m2)
+
+	var wg sync.WaitGroup
+	got1 := make(chan float64, 4)
+	got2 := make(chan float64, 3)
+	holdFirstCall(t, b, m1, v1, &wg, got1)
+	// Queue v1 v1 v2 v2 v1 v2 behind the held call.
+	for _, step := range []struct {
+		v   *Version
+		got chan float64
+	}{{v1, got1}, {v1, got1}, {v2, got2}, {v2, got2}, {v1, got1}, {v2, got2}} {
+		submitAsync(t, b, step.v, &wg, step.got)
+	}
+	close(m1.gate)
+	wg.Wait()
+	b.close()
+	close(got1)
+	close(got2)
+	for ea := range got1 {
+		if ea != m1.ea {
+			t.Errorf("version 1 request answered %v, want %v", ea, m1.ea)
+		}
+	}
+	for ea := range got2 {
+		if ea != m2.ea {
+			t.Errorf("version 2 request answered %v, want %v", ea, m2.ea)
+		}
+	}
+	if sizes := m1.batchSizes(); !slices.Equal(sizes, []int{1, 2, 1}) {
+		t.Errorf("version 1 batch sizes = %v, want [1 2 1]", sizes)
+	}
+	if sizes := m2.batchSizes(); !slices.Equal(sizes, []int{2, 1}) {
+		t.Errorf("version 2 batch sizes = %v, want [2 1]", sizes)
 	}
 }
 
@@ -317,7 +464,7 @@ func TestBatcherMaxDelayFlushesSingleWaiter(t *testing.T) {
 func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 	lib := syntheticLibrary(t)
 	reg := obs.NewRegistry()
-	e := NewEngine(Config{Obs: reg, MaxDelay: 100 * time.Microsecond, CacheSize: -1})
+	e := NewEngine(Config{Obs: reg, CacheSize: -1})
 	defer e.Close()
 	if _, err := e.Install(&stubModel{ea: 0.5}, lib); err != nil {
 		t.Fatal(err)
@@ -326,7 +473,8 @@ func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var failures atomic.Int64
-	minVersion := int64(1)
+	var installed atomic.Int64 // newest version whose Install has returned
+	installed.Store(1)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -338,16 +486,22 @@ func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 					return
 				default:
 				}
+				// A request sent after version floor was installed must
+				// be answered by it or a newer one. The floor is read
+				// before the request, not after the response: a request
+				// acquired before a swap is rightly answered by the
+				// displaced version, however many installs follow.
+				floor := installed.Load()
 				resp, serr := e.Predict(req)
 				if serr != nil {
 					failures.Add(1)
 					t.Errorf("predict during reload: %v", serr)
 					return
 				}
-				if v := atomic.LoadInt64(&minVersion); int64(resp.ModelVersion) < v {
+				if int64(resp.ModelVersion) < floor {
 					failures.Add(1)
-					t.Errorf("response from version %d after version %d was installed",
-						resp.ModelVersion, v)
+					t.Errorf("response from version %d to a request sent after version %d was installed",
+						resp.ModelVersion, floor)
 					return
 				}
 			}
@@ -361,10 +515,7 @@ func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		olds = append(olds, old)
-		// A response observed after this point may still come from the
-		// displaced version (acquired before the swap), so the floor
-		// trails the installed version by one.
-		atomic.StoreInt64(&minVersion, int64(i+1))
+		installed.Store(int64(i + 2))
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -177,6 +178,9 @@ func (s *Server) search(req SearchRequest) (SearchResponse, *Error) {
 			KernelA: ka, KernelB: kb,
 			LoadA: req.Load, LoadB: req.Load,
 			Accesses: req.Accesses, Seed: req.Seed,
+			// Leave a core to the predicts: a sweep on every core
+			// starves them past their deadlines.
+			Workers: max(1, runtime.GOMAXPROCS(0)-1),
 		}
 		if req.Sampled > 0 {
 			cfg.Sampler = &mrc.SamplerConfig{Rate: req.Sampled}

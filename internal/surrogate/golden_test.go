@@ -86,6 +86,31 @@ func TestGoldenSearch(t *testing.T) {
 	})
 }
 
+// TestSearchWorkersInvariant checks that bounding the searcher's
+// fan-outs to one worker, as a server keeping cores for its predicts
+// does, returns the same sweep as GOMAXPROCS workers.
+func TestSearchWorkersInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := redisSocialSearcher(t, Config{Workers: 1})
+	ranked, err := s.Search(s.EnumeratePlans())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, ev := range ranked {
+		hashEvaluation(h, ev)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenSearchDigest {
+		t.Errorf("search digest at 1 worker:\n got  %s\n want %s", got, goldenSearchDigest)
+	}
+	if got := s.SimRuns(); got != goldenSearchSimRuns {
+		t.Errorf("SimRuns = %d, want %d", got, goldenSearchSimRuns)
+	}
+	if len(s.sims) != 1 {
+		t.Errorf("%d simulators at 1 worker, want 1", len(s.sims))
+	}
+}
+
 func TestGoldenWarmMemo(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		s := redisSocialSearcher(t, Config{})

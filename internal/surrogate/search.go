@@ -71,6 +71,12 @@ type Config struct {
 	Grid []float64
 	// Seed drives curve construction, anchoring and the queueing sims.
 	Seed uint64
+	// Workers bounds each of the searcher's fan-outs: the two services'
+	// set-up, the per-way anchor calibrations, the sweep's simulations
+	// and Validate's testbed runs (0 = GOMAXPROCS). Results are identical
+	// at any value. A server that must keep cores for other requests
+	// passes fewer than GOMAXPROCS.
+	Workers int
 }
 
 func (c Config) defaults() Config {
@@ -146,8 +152,8 @@ var discardedSims = obs.C("surrogate/discarded_sims")
 
 // Searcher evaluates mask plans with the surrogate stack. Construct with
 // New; methods are not safe for concurrent use (the simulation memo is a
-// plain map). Each call fans its queueing simulations out over par's
-// default worker count, and returns what evaluating its plans one by one
+// plain map). Each call fans its queueing simulations out over
+// Config.Workers, and returns what evaluating its plans one by one
 // through the memo returns, whatever the worker count.
 type Searcher struct {
 	cfg    Config
@@ -182,12 +188,12 @@ func New(cfg Config) (*Searcher, error) {
 	// Service A's failure is reported before B's, as a serial build
 	// meets them.
 	kernels := [2]workload.Kernel{cfg.KernelA, cfg.KernelB}
-	err := par.ForEach(0, 2, func(i int) error {
+	err := par.ForEach(cfg.Workers, 2, func(i int) error {
 		curve, err := kernelCurve(cfg, i, kernels[i])
 		if err != nil {
 			return err
 		}
-		s.models[i], err = NewModel(cfg.Processor, kernels[i], curve, ModelConfig{Seed: cfg.Seed})
+		s.models[i], err = NewModel(cfg.Processor, kernels[i], curve, ModelConfig{Seed: cfg.Seed, workers: cfg.Workers})
 		return err
 	})
 	if err != nil {
@@ -530,12 +536,12 @@ func (ev *Evaluation) set(i int, out simOut) {
 	ev.BoostedFrac[i] = out.boosted
 }
 
-// simulate runs every job not yet done, in parallel over par's default
-// worker count, each worker on its own simulator.
+// simulate runs every job not yet done, in parallel over the configured
+// workers, each worker on its own simulator.
 func (s *Searcher) simulate(jobs []simJob) error {
 	// Read GOMAXPROCS once: every worker index the fan-out hands out
 	// must have a simulator, even if GOMAXPROCS changes meanwhile.
-	workers := min(par.Workers(0), len(jobs))
+	workers := min(par.Workers(s.cfg.Workers), len(jobs))
 	for len(s.sims) < workers {
 		s.sims = append(s.sims, queueing.NewSimulator())
 	}
@@ -582,7 +588,7 @@ type Validated struct {
 // baseline) through the full testbed and returns them with measured
 // speedups, in the surrogate's rank order. queries controls run length
 // (0 = the testbed default). The k+1 runs are independent and fan out
-// over testbed.RunBatch's default workers.
+// over the configured workers.
 func (s *Searcher) Validate(ranked []Evaluation, k, queries int) ([]Validated, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("surrogate: cannot validate the top %d plans", k)
@@ -594,7 +600,7 @@ func (s *Searcher) Validate(ranked []Evaluation, k, queries int) ([]Validated, e
 	for _, ev := range ranked[:k] {
 		conds = append(conds, s.Condition(ev.Plan, queries))
 	}
-	runs, err := testbed.RunBatch(0, conds)
+	runs, err := testbed.RunBatch(s.cfg.Workers, conds)
 	if err != nil {
 		return nil, fmt.Errorf("surrogate: validation: %w", err)
 	}

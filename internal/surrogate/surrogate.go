@@ -56,6 +56,9 @@ type Model struct {
 type ModelConfig struct {
 	// Seed drives the anchor calibrations and the CV estimate.
 	Seed uint64
+	// workers bounds the anchor fan-out (0 = GOMAXPROCS); New passes its
+	// Config.Workers.
+	workers int
 }
 
 // NewModel builds an anchored analytical model for the kernel on the
@@ -76,13 +79,12 @@ func NewModel(proc testbed.Processor, k workload.Kernel, curve mrc.CapacityCurve
 		linesPerWay: hc.LLC.Sets,
 	}
 	// Anchor every integer way count with a solo calibration. The
-	// calibrations are independent and fan out over par's default
-	// workers; the lowest failing way count is reported, as a serial
-	// loop would. They are memoised process-wide on their full
+	// calibrations are independent and fan out over cfg.workers; the
+	// lowest failing way count is reported, as a serial loop would. They are memoised process-wide on their full
 	// fingerprint, so models for the same (processor, kernel) pay this
 	// once.
 	m.anchors = make([]float64, proc.Ways)
-	err := par.ForEach(0, proc.Ways, func(i int) error {
+	err := par.ForEach(cfg.workers, proc.Ways, func(i int) error {
 		w := i + 1
 		mask := cat.Setting{Offset: 0, Length: w}.Mask()
 		ref, err := testbed.CalibrateServiceTime(proc, k, mask, 1<<32, cfg.Seed+1)
