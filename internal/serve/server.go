@@ -35,7 +35,7 @@ type Server struct {
 
 type searchKey struct {
 	kernelA, kernelB string
-	load             float64
+	load, sampled    float64
 	accesses         int
 	seed             uint64
 }
@@ -172,7 +172,7 @@ func (s *Server) search(req SearchRequest) (SearchResponse, *Error) {
 
 	s.searchMu.Lock()
 	defer s.searchMu.Unlock()
-	key := searchKey{req.KernelA, req.KernelB, req.Load, req.Accesses, req.Seed}
+	key := searchKey{req.KernelA, req.KernelB, req.Load, req.Sampled, req.Accesses, req.Seed}
 	if s.searcher == nil || s.searchCfg != key {
 		cfg := surrogate.Config{
 			KernelA: ka, KernelB: kb,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,5 +178,41 @@ func TestHTTPReloadWithoutPathsFails(t *testing.T) {
 	}
 	if e := decodeError(t, resp); e.Code != CodeInternal {
 		t.Errorf("reload error code = %s, want %s", e.Code, CodeInternal)
+	}
+}
+
+func postSearch(t *testing.T, url, body string) SearchResponse {
+	t.Helper()
+	resp, err := http.Post(url+"/search", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search %s: status %d", body, resp.StatusCode)
+	}
+	var sr SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
+// TestHTTPSearchKeysOnCurveSource is a regression test: the server
+// cached its searcher without the sampling rate, so a sampled search
+// after an exact one for the same pair returned the exact ranking.
+func TestHTTPSearchKeysOnCurveSource(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three full surrogate sweeps")
+	}
+	const exact = `{"kernel_a":"redis","kernel_b":"social","top_k":3}`
+	const sampled = `{"kernel_a":"redis","kernel_b":"social","top_k":3,"sampled":0.05}`
+	_, warm := newTestServer(t)
+	postSearch(t, warm.URL, exact)
+	got := postSearch(t, warm.URL, sampled)
+	_, fresh := newTestServer(t)
+	want := postSearch(t, fresh.URL, sampled)
+	if !reflect.DeepEqual(got.Plans, want.Plans) {
+		t.Errorf("sampled search after an exact one:\n got  %+v\n want %+v", got.Plans, want.Plans)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -16,21 +17,12 @@ import (
 // plan for redis + social at ρ = 0.9, seed 1: each evaluation's plan,
 // predicted means, p95s, speedups, score and boosted fractions, in rank
 // order. goldenSearchSimRuns is the sweep's and the baseline's memo
-// misses: the queueing simulations a one-by-one sweep runs. Both were
-// computed before the Stage-3 fast path, which must not move a bit of
-// either.
+// cells: the queueing simulations the sweep runs. Both were computed
+// when memo cells began to be simulated at their own grid configs.
 const (
-	goldenSearchDigest  = "fb2465db075a90d4c7429bcadbd26b5fd9029559e53ef3d925913cf0ee99ab21"
-	goldenSearchSimRuns = 8447
+	goldenSearchDigest  = "29d2fb8678e31fa2624372058d364138f739a9dba2cf5cf3202ebee147907c76"
+	goldenSearchSimRuns = 8455
 )
-
-// goldenWarmMemoDigest is the sha256 over one Searcher (redis + social,
-// ρ = 0.9, seed 1) driven through interleaved calls that share its memo:
-// 40 scattered Evaluate calls, a Search over the even-indexed plans, a
-// Search over the odd-indexed plans in reverse, then 80 more scattered
-// Evaluate calls, with SimRuns after each phase. It was computed on the
-// serial sweep, before the sweep's simulations were fanned out.
-const goldenWarmMemoDigest = "16b2ab651e2ab29bc97bba80eb7166b2842bd583ee74e08cda85ea0a688dad80"
 
 // atProcs runs fn as one subtest per GOMAXPROCS setting: the searcher
 // fans its simulations out over GOMAXPROCS workers, and its results must
@@ -111,20 +103,39 @@ func TestSearchWorkersInvariant(t *testing.T) {
 	}
 }
 
-func TestGoldenWarmMemo(t *testing.T) {
+// TestWarmMemoMatchesFresh drives one searcher through interleaved calls
+// that share its memo — 40 scattered Evaluate calls, a Search over the
+// even-indexed plans, a Search over the odd-indexed plans in reverse,
+// then 80 more scattered Evaluate calls — and checks every result
+// against a fresh searcher's evaluation of the same plan.
+func TestWarmMemoMatchesFresh(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		s := redisSocialSearcher(t, Config{})
+		built := redisSocialSearcher(t, Config{})
+		check := func(ev Evaluation) {
+			t.Helper()
+			// A copy of a searcher as New left it is a fresh searcher; it
+			// hands the simulators it grew back to the original.
+			fresh := *built
+			fresh.memo = maps.Clone(built.memo)
+			want, err := fresh.Evaluate(ev.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built.sims = fresh.sims
+			if ev != want {
+				t.Fatalf("warm memo evaluates %v as %+v, a fresh searcher as %+v", ev.Plan, ev, want)
+			}
+		}
 		plans := s.EnumeratePlans()
-		h := sha256.New()
 		evaluate := func(n, stride, offset int) {
 			for k := 0; k < n; k++ {
 				ev, err := s.Evaluate(plans[(k*stride+offset)%len(plans)])
 				if err != nil {
 					t.Fatal(err)
 				}
-				hashEvaluation(h, ev)
+				check(ev)
 			}
-			hashFloat(h, float64(s.SimRuns()))
 		}
 		search := func(plans []Plan) {
 			ranked, err := s.Search(plans)
@@ -132,9 +143,8 @@ func TestGoldenWarmMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, ev := range ranked {
-				hashEvaluation(h, ev)
+				check(ev)
 			}
-			hashFloat(h, float64(s.SimRuns()))
 		}
 		var even, odd []Plan
 		for i, p := range plans {
@@ -150,8 +160,50 @@ func TestGoldenWarmMemo(t *testing.T) {
 		search(even)
 		search(odd)
 		evaluate(80, 613, 5)
-		if got := hex.EncodeToString(h.Sum(nil)); got != goldenWarmMemoDigest {
-			t.Errorf("warm-memo digest moved:\n got  %s\n want %s", got, goldenWarmMemoDigest)
+	})
+}
+
+// TestSweepOrderIndependent sweeps every plan forward and in reverse on
+// two fresh searchers: each plan's evaluation and the simulation count
+// must not depend on the order. It also checks that every cell of the
+// sweep, the never-boost cells included, is simulated at a config that
+// maps back to the cell.
+func TestSweepOrderIndependent(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		fwd := redisSocialSearcher(t, Config{})
+		rev := redisSocialSearcher(t, Config{})
+		plans := fwd.EnumeratePlans()
+		a, err := fwd.sweep(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = slices.Clone(plans)
+		slices.Reverse(plans)
+		b, err := rev.sweep(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(b)
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("plan %v: forward sweep %+v, reverse sweep %+v", a[j].Plan, a[j], b[j])
+			}
+		}
+		if fwd.SimRuns() != rev.SimRuns() {
+			t.Errorf("SimRuns: forward %d, reverse %d", fwd.SimRuns(), rev.SimRuns())
+		}
+
+		nevers := 0
+		for k := range fwd.memo {
+			if got := keyOf(k.config()); got != k {
+				t.Errorf("keyOf(%+v.config()) = %+v", k, got)
+			}
+			if k.timeout == never {
+				nevers++
+			}
+		}
+		if nevers == 0 {
+			t.Error("the sweep filled no never-boost cell")
 		}
 	})
 }

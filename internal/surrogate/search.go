@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"stac/internal/mrc"
-	"stac/internal/obs"
 	"stac/internal/par"
 	"stac/internal/queueing"
 	"stac/internal/stats"
@@ -102,20 +101,12 @@ func (c Config) defaults() Config {
 	return c
 }
 
-// simKey memoises queueing simulations: plans that reduce to the same
-// (rates, distribution, timeout) tuple — e.g. differing only in the
-// partner's timeout — share one simulation. Float inputs are rounded to
-// a 1e-4 grid after per-field scaling (see keyOf), so a cell also
-// merges configs that are close but not identical, and answers every
-// later lookup with the simulation of whichever config filled it first.
-// On redis + social at ρ = 0.9, seed 1, the full 4294-plan sweep makes
-// 8733 memo hits: 2630 of them return the simulation of a config whose
-// raw inputs differ from the lookup's, and 3441 return one filled by a
-// plan with another layout. Evaluate(p) therefore depends on what was
-// evaluated before it: sweeping the same plans in reverse on a fresh
-// Searcher changes 1676 of the 4294 evaluations. The order of lookups is
-// part of the result, so sweep replays it on one goroutine and fans out
-// only the simulations (DESIGN §11).
+// simKey is a memo cell: a Stage-3 simulation config rounded to a 1e-4
+// grid after per-field scaling (see keyOf). Plans that reduce to the
+// same cell, e.g. differing only in the partner's timeout, share one
+// simulation. Each cell is simulated at its own grid point (config),
+// whichever plan reaches it, so its answer depends only on its key and
+// Evaluate(p) only on p (DESIGN §11).
 type simKey struct {
 	arrival, baseMean, cv, timeout, boostRate int64
 	servers, queries                          int
@@ -125,11 +116,21 @@ type simOut struct {
 	mean, p95, boosted float64
 }
 
+// never is the grid value of an infinite timeout (testbed.NeverBoost).
+const never = math.MaxInt64
+
 func quant(v float64) int64 {
 	if math.IsInf(v, 1) {
-		return math.MaxInt64
+		return never
 	}
 	return int64(math.Round(v * 1e4))
+}
+
+func unquant(q int64) float64 {
+	if q == never {
+		return math.Inf(1)
+	}
+	return float64(q) / 1e4
 }
 
 // keyOf returns the memo cell of a Stage-3 simulation config.
@@ -146,15 +147,27 @@ func keyOf(cfg queueing.Config) simKey {
 	}
 }
 
-// discardedSims counts the speculative simulations a sweep ran but did
-// not use (see sweep).
-var discardedSims = obs.C("surrogate/discarded_sims")
+// config is keyOf's inverse: the simulation config at the cell's grid
+// point. Every sweep simulation uses seed 1 and warms up on a tenth of
+// its queries.
+func (k simKey) config() queueing.Config {
+	return queueing.Config{
+		Servers:   k.servers,
+		Arrival:   stats.Exponential{Rate: unquant(k.arrival) * 1e3},
+		Service:   stats.Lognormal{Mu: unquant(k.baseMean), Sigma: unquant(k.cv)},
+		Timeout:   unquant(k.timeout) / 1e3,
+		BoostRate: unquant(k.boostRate),
+		Queries:   k.queries,
+		Warmup:    k.queries / 10,
+		Seed:      1,
+	}
+}
 
 // Searcher evaluates mask plans with the surrogate stack. Construct with
 // New; methods are not safe for concurrent use (the simulation memo is a
 // plain map). Each call fans its queueing simulations out over
-// Config.Workers, and returns what evaluating its plans one by one
-// through the memo returns, whatever the worker count.
+// Config.Workers. An evaluation depends only on its plan: not on the
+// worker count, nor on what the searcher evaluated before.
 type Searcher struct {
 	cfg    Config
 	models [2]*Model
@@ -179,7 +192,8 @@ const servers = 2
 // sampled), two anchored models, and the no-sharing baseline prediction.
 func New(cfg Config) (*Searcher, error) {
 	cfg = cfg.defaults()
-	if cfg.LoadA <= 0 || cfg.LoadA >= 1 || cfg.LoadB <= 0 || cfg.LoadB >= 1 {
+	// Negated so that NaN loads fail too.
+	if !(cfg.LoadA > 0 && cfg.LoadA < 1 && cfg.LoadB > 0 && cfg.LoadB < 1) {
 		return nil, fmt.Errorf("surrogate: loads (%v, %v) outside (0,1)", cfg.LoadA, cfg.LoadB)
 	}
 	s := &Searcher{cfg: cfg, loads: [2]float64{cfg.LoadA, cfg.LoadB}, memo: map[simKey]simOut{}}
@@ -241,14 +255,9 @@ func kernelCurve(cfg Config, i int, k workload.Kernel) (mrc.CapacityCurve, error
 	}
 }
 
-// Models exposes the per-service analytical models (A, B).
-func (s *Searcher) Models() [2]*Model { return s.models }
-
-// SimRuns reports how many queueing simulations the evaluations needed:
-// the memo misses, each one fresh simulation in a one-by-one sweep — the
-// honest denominator for plans-per-simulation claims. The speculative
-// simulations a parallel sweep discards are not counted here; the
-// surrogate/discarded_sims counter reports them.
+// SimRuns reports how many queueing simulations the evaluations ran, one
+// per memo cell — the honest denominator for plans-per-simulation
+// claims.
 func (s *Searcher) SimRuns() int { return s.simRuns }
 
 // EnumeratePlans generates the exhaustive plan space: every asymmetric
@@ -315,10 +324,11 @@ func (s *Searcher) Search(plans []Plan) ([]Evaluation, error) {
 	return out, nil
 }
 
-// planConfigs returns one pass of a plan's Stage-3 simulations, service
-// A's and then service B's, given each service's boosted fraction from
-// the previous pass. It is pure: a plan's first pass, at zero boosted
-// fractions, depends on nothing but the plan.
+// planConfigs returns one pass of a plan's Stage-3 simulation inputs,
+// service A's and then service B's, given each service's boosted
+// fraction from the previous pass; keyOf maps each to its memo cell. It
+// is pure: a plan's first pass, at zero boosted fractions, depends on
+// nothing but the plan.
 //
 // Contention enters in three places, mirroring the testbed: (1) memory
 // bandwidth pressure from the partner's miss traffic inflates memory
@@ -393,171 +403,90 @@ func (s *Searcher) planConfigs(p Plan, boostFrac [2]float64) [2]queueing.Config 
 			Timeout:   timeout,
 			BoostRate: boostRate,
 			Queries:   s.cfg.SimQueries,
-			Warmup:    s.cfg.SimQueries / 10,
-			Seed:      1,
 		}
 	}
 	return cfgs
 }
 
-// simJob is one simulation a sweep runs: the memo cell it fills, the
-// config that fills it, and its outcome once done.
-type simJob struct {
-	key  simKey
-	cfg  queueing.Config
-	out  simOut
-	done bool
-}
-
-// sweep evaluates plans in order and returns exactly what evaluating
-// them one by one through the memo returns — two passes of planConfigs
-// per plan, service A before B, each config answered by its memo cell
-// or simulated on a miss. Every evaluation goes through it: New's
-// baseline, Evaluate and Search.
-//
-// A plan's second pass depends on the boosted fractions its first pass
-// looked up, and any lookup may fill a cell that later lookups of either
-// pass are answered from. sweep therefore keeps the lookups in order on
-// the calling goroutine and fans out only the simulations:
-//
-//  1. Simulate, in parallel, every first-pass cell not yet in the memo,
-//     from the first config in plan order that maps to it.
-//  2. Replay the lookups in order. A first-pass miss takes its
-//     simulation from step 1. A second-pass miss claims its cell and
-//     defers its simulation. A first-pass lookup of a cell that an
-//     earlier second-pass lookup claimed runs that claim's simulation on
-//     the spot, as the one-by-one sweep would, and step 1's simulation
-//     of the cell is discarded.
-//  3. Run the deferred simulations in parallel. Their results feed only
-//     the evaluations.
-//
-// The memo ends as the one-by-one sweep leaves it, at any worker count.
+// sweep evaluates plans in order: two passes of planConfigs per plan,
+// service A before B, each config answered by its memo cell. Every
+// evaluation goes through it: New's baseline, Evaluate and Search. The
+// first pass runs at zero boosted fractions, so its cells depend only on
+// the plans; the second pass reads its fractions from the first pass's
+// cells. Each pass fills its missing cells in parallel before the next
+// reads them.
 func (s *Searcher) sweep(plans []Plan) ([]Evaluation, error) {
-	// A one-by-one sweep stops at the first invalid plan.
-	var planErr error
-	for j, p := range plans {
+	for _, p := range plans {
 		if err := s.validatePlan(p); err != nil {
-			plans, planErr = plans[:j], fmt.Errorf("surrogate: plan %v: %w", p, err)
-			break
+			return nil, fmt.Errorf("surrogate: plan %v: %w", p, err)
 		}
 	}
-
-	// Step 1. firstKeys[j] holds plan j's first-pass cells.
-	firstKeys := make([][2]simKey, len(plans))
-	var spec []simJob
-	specAt := map[simKey]int{}
-	for j, p := range plans {
-		for i, cfg := range s.planConfigs(p, [2]float64{}) {
-			k := keyOf(cfg)
-			firstKeys[j][i] = k
-			if _, ok := s.memo[k]; ok {
-				continue
+	keys := make([][2]simKey, len(plans))
+	for pass := 0; pass < 2; pass++ {
+		for j, p := range plans {
+			var frac [2]float64
+			if pass > 0 {
+				frac = [2]float64{s.memo[keys[j][0]].boosted, s.memo[keys[j][1]].boosted}
 			}
-			if _, ok := specAt[k]; !ok {
-				specAt[k] = len(spec)
-				spec = append(spec, simJob{key: k, cfg: cfg})
+			for i, cfg := range s.planConfigs(p, frac) {
+				keys[j][i] = keyOf(cfg)
 			}
 		}
+		if err := s.fill(keys); err != nil {
+			return nil, err
+		}
 	}
-	if err := s.simulate(spec); err != nil {
-		return nil, err
-	}
-
-	// Step 2. second[j][i] indexes plan j's deferred simulation for
-	// service i, or is -1 when the memo answered.
-	var deferred []simJob
-	claimed := map[simKey]int{}
-	second := make([][2]int, len(plans))
 	evs := make([]Evaluation, len(plans))
 	for j, p := range plans {
-		var frac [2]float64
-		for i, k := range firstKeys[j] {
-			out, ok := s.memo[k]
-			if !ok {
-				if d, ok := claimed[k]; ok {
-					if err := s.simulate(deferred[d : d+1]); err != nil {
-						return nil, err
-					}
-					out = deferred[d].out
-					discardedSims.Inc()
-				} else {
-					out = spec[specAt[k]].out
-					s.simRuns++
-				}
-				s.memo[k] = out
-			}
-			frac[i] = out.boosted
-		}
-		evs[j].Plan = p
-		for i, cfg := range s.planConfigs(p, frac) {
-			k := keyOf(cfg)
-			if out, ok := s.memo[k]; ok {
-				evs[j].set(i, out)
-				second[j][i] = -1
-				continue
-			}
-			d, ok := claimed[k]
-			if !ok {
-				d = len(deferred)
-				claimed[k] = d
-				deferred = append(deferred, simJob{key: k, cfg: cfg})
-				s.simRuns++
-			}
-			second[j][i] = d
-		}
-	}
-
-	// Step 3.
-	if err := s.simulate(deferred); err != nil {
-		return nil, err
-	}
-	for _, job := range deferred {
-		s.memo[job.key] = job.out
-	}
-	for j := range evs {
 		ev := &evs[j]
-		for i, d := range second[j] {
-			if d >= 0 {
-				ev.set(i, deferred[d].out)
-			}
-		}
-		for i := 0; i < 2; i++ {
-			ev.Speedup[i] = s.baseP95[i] / ev.P95[i]
+		ev.Plan = p
+		for i, k := range keys[j] {
+			out := s.memo[k]
+			ev.Mean[i], ev.P95[i], ev.BoostedFrac[i] = out.mean, out.p95, out.boosted
+			ev.Speedup[i] = s.baseP95[i] / out.p95
 		}
 		ev.Score = math.Sqrt(ev.Speedup[0] * ev.Speedup[1])
 	}
-	return evs, planErr
+	return evs, nil
 }
 
-// set records service i's simulated outcome.
-func (ev *Evaluation) set(i int, out simOut) {
-	ev.Mean[i] = out.mean
-	ev.P95[i] = out.p95
-	ev.BoostedFrac[i] = out.boosted
-}
-
-// simulate runs every job not yet done, in parallel over the configured
-// workers, each worker on its own simulator.
-func (s *Searcher) simulate(jobs []simJob) error {
+// fill simulates every distinct cell of keys that the memo lacks, each at
+// its own grid config, in parallel over the configured workers, each
+// worker on its own simulator.
+func (s *Searcher) fill(keys [][2]simKey) error {
+	var todo []simKey
+	queued := map[simKey]bool{}
+	for _, pair := range keys {
+		for _, k := range pair {
+			if _, ok := s.memo[k]; !ok && !queued[k] {
+				queued[k] = true
+				todo = append(todo, k)
+			}
+		}
+	}
 	// Read GOMAXPROCS once: every worker index the fan-out hands out
 	// must have a simulator, even if GOMAXPROCS changes meanwhile.
-	workers := min(par.Workers(s.cfg.Workers), len(jobs))
+	workers := min(par.Workers(s.cfg.Workers), len(todo))
 	for len(s.sims) < workers {
 		s.sims = append(s.sims, queueing.NewSimulator())
 	}
-	return par.ForEachWorker(workers, len(jobs), func(w, i int) error {
-		job := &jobs[i]
-		if job.done {
-			return nil
-		}
-		res, err := s.sims[w].Run(job.cfg)
+	outs := make([]simOut, len(todo))
+	err := par.ForEachWorker(workers, len(todo), func(w, i int) error {
+		res, err := s.sims[w].Run(todo[i].config())
 		if err != nil {
 			return err
 		}
-		job.out = simOut{mean: res.MeanResponse(), p95: res.P95Response(), boosted: res.BoostedFrac}
-		job.done = true
+		outs[i] = simOut{mean: res.MeanResponse(), p95: res.P95Response(), boosted: res.BoostedFrac}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	for i, k := range todo {
+		s.memo[k] = outs[i]
+	}
+	s.simRuns += len(todo)
+	return nil
 }
 
 func (s *Searcher) validatePlan(p Plan) error {
@@ -568,8 +497,9 @@ func (s *Searcher) validatePlan(p Plan) error {
 		return fmt.Errorf("surrogate: plan uses %d ways, processor has %d",
 			p.PrivA+p.Shared+p.PrivB, s.cfg.Processor.Ways)
 	}
-	if p.TimeoutA < 0 || p.TimeoutB < 0 {
-		return fmt.Errorf("surrogate: negative timeout")
+	// Written to reject NaN, which keyOf cannot round to a grid cell.
+	if !(p.TimeoutA >= 0 && p.TimeoutB >= 0) {
+		return fmt.Errorf("surrogate: timeouts (%v, %v) must be non-negative", p.TimeoutA, p.TimeoutB)
 	}
 	return nil
 }

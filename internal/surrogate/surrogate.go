@@ -63,8 +63,8 @@ type ModelConfig struct {
 
 // NewModel builds an anchored analytical model for the kernel on the
 // processor. curve must be the kernel's solo miss-ratio curve at the
-// testbed line size (mrc.KernelCurve, mrc.SampledKernelCurve, or a
-// weighted interval estimate).
+// testbed line size: mrc.KernelCurve, a SampledSet's Curve, or a
+// weighted interval estimate.
 func NewModel(proc testbed.Processor, k workload.Kernel, curve mrc.CapacityCurve, cfg ModelConfig) (*Model, error) {
 	if curve == nil {
 		return nil, fmt.Errorf("surrogate: nil miss-ratio curve")
@@ -80,9 +80,9 @@ func NewModel(proc testbed.Processor, k workload.Kernel, curve mrc.CapacityCurve
 	}
 	// Anchor every integer way count with a solo calibration. The
 	// calibrations are independent and fan out over cfg.workers; the
-	// lowest failing way count is reported, as a serial loop would. They are memoised process-wide on their full
-	// fingerprint, so models for the same (processor, kernel) pay this
-	// once.
+	// lowest failing way count is reported, as a serial loop would. They
+	// are memoised process-wide on their full fingerprint, so models for
+	// the same (processor, kernel) pay this once.
 	m.anchors = make([]float64, proc.Ways)
 	err := par.ForEach(cfg.workers, proc.Ways, func(i int) error {
 		w := i + 1
@@ -122,9 +122,6 @@ func NewModel(proc testbed.Processor, k workload.Kernel, curve mrc.CapacityCurve
 	return m, nil
 }
 
-// Kernel returns the modelled workload.
-func (m *Model) Kernel() workload.Kernel { return m.kernel }
-
 // ServiceCV returns the demand-driven service-time coefficient of
 // variation the queueing stage should use.
 func (m *Model) ServiceCV() float64 { return m.cv }
@@ -151,11 +148,6 @@ func (m *Model) CyclesAtLines(llcLines int, pressure float64) float64 {
 	fl := mr2 - mrl
 	mem := lat.Memory * (1 + pressure)
 	return m.kernel.ComputePerAccess + f1*lat.L1Hit + f2*lat.L2Hit + fl*lat.LLCHit + mrl*mem
-}
-
-// Cycles is CyclesAtLines for a whole-way allocation.
-func (m *Model) Cycles(ways int, pressure float64) float64 {
-	return m.CyclesAtLines(ways*m.linesPerWay, pressure)
 }
 
 // MissRatio predicts the kernel's LLC miss ratio under a whole-way

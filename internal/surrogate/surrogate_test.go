@@ -9,7 +9,6 @@ import (
 	"stac/internal/cat"
 	"stac/internal/mrc"
 	"stac/internal/obs"
-	"stac/internal/queueing"
 	"stac/internal/testbed"
 	"stac/internal/workload"
 )
@@ -348,37 +347,30 @@ func TestValidateMatchesSerialRuns(t *testing.T) {
 	}
 }
 
-// TestSimulateAcrossGOMAXPROCSChanges is a regression test: simulate
+// TestSimulateAcrossGOMAXPROCSChanges is a regression test: the sweep
 // used to size its simulators from one GOMAXPROCS read and fan out from
 // a second, so a rise in between handed a worker an index with no
-// simulator and crashed the process. GOMAXPROCS rises between calls,
+// simulator and crashed the process. GOMAXPROCS rises between fills,
 // which must grow the simulator list, and then flips between 2 and 4
-// from another goroutine during calls; every result must match the
+// from another goroutine during fills; every result must match the
 // one-worker run.
 func TestSimulateAcrossGOMAXPROCSChanges(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := redisSocialSearcher(t, Config{SimQueries: 40})
-	var cfgs []queueing.Config
+	var keys [][2]simKey
 	for _, p := range []Plan{
 		{PrivA: 4, PrivB: 8, Shared: 8, TimeoutA: 0, TimeoutB: 1.5},
 		{PrivA: 9, PrivB: 9, Shared: 2, TimeoutA: 0.5, TimeoutB: 0.5},
 	} {
 		pc := s.planConfigs(p, [2]float64{})
-		cfgs = append(cfgs, pc[:]...)
+		keys = append(keys, [2]simKey{keyOf(pc[0]), keyOf(pc[1])})
 	}
 	run := func() [4]simOut {
-		jobs := make([]simJob, len(cfgs))
-		for i, c := range cfgs {
-			jobs[i].cfg = c
-		}
-		if err := s.simulate(jobs); err != nil {
+		s.memo = map[simKey]simOut{}
+		if err := s.fill(keys); err != nil {
 			t.Fatal(err)
 		}
-		var out [4]simOut
-		for i := range out {
-			out[i] = jobs[i].out
-		}
-		return out
+		return [4]simOut{s.memo[keys[0][0]], s.memo[keys[0][1]], s.memo[keys[1][0]], s.memo[keys[1][1]]}
 	}
 	s.sims = nil
 	want := run()
@@ -387,7 +379,7 @@ func TestSimulateAcrossGOMAXPROCSChanges(t *testing.T) {
 		t.Fatalf("after GOMAXPROCS 1 -> 4: %+v, want %+v", got, want)
 	}
 	if len(s.sims) != 4 {
-		t.Fatalf("%d simulators after a four-job run at GOMAXPROCS 4, want 4", len(s.sims))
+		t.Fatalf("%d simulators after a four-cell fill at GOMAXPROCS 4, want 4", len(s.sims))
 	}
 
 	stop, stopped := make(chan struct{}), make(chan struct{})
@@ -463,8 +455,10 @@ func TestSearcherSampledAndIntervalPaths(t *testing.T) {
 }
 
 func TestSearcherRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{KernelA: workload.Redis(), KernelB: workload.BFS(), LoadA: 1.2, LoadB: 0.5}); err == nil {
-		t.Fatal("load ≥ 1 accepted")
+	for _, loads := range [][2]float64{{1.2, 0.5}, {0.5, math.NaN()}} {
+		if _, err := New(Config{KernelA: workload.Redis(), KernelB: workload.BFS(), LoadA: loads[0], LoadB: loads[1]}); err == nil {
+			t.Fatalf("loads %v accepted", loads)
+		}
 	}
 	s := redisSocialSearcher(t, Config{})
 	for _, p := range []Plan{
@@ -472,6 +466,8 @@ func TestSearcherRejectsBadConfig(t *testing.T) {
 		{PrivA: 2, PrivB: 2, Shared: -1},
 		{PrivA: 10, PrivB: 10, Shared: 5},
 		{PrivA: 2, PrivB: 2, Shared: 2, TimeoutA: -1},
+		{PrivA: 2, PrivB: 2, Shared: 2, TimeoutA: math.NaN()},
+		{PrivA: 2, PrivB: 2, Shared: 2, TimeoutB: math.NaN()},
 	} {
 		if _, err := s.Evaluate(p); err == nil {
 			t.Errorf("invalid plan %+v accepted", p)
