@@ -326,7 +326,12 @@ func TrainDeepForestEA(ds profile.Dataset, cfg deepforest.Config, rng *stats.RNG
 // PredictEA predicts effective cache allocation for a scenario using the
 // given dynamic-feature estimate.
 func (p *Predictor) PredictEA(s Scenario, dynamic []float64) (float64, error) {
-	input, err := p.builder.build(s, dynamic)
+	return p.predictEA(s, p.builder.neighbourhood(s), dynamic)
+}
+
+// predictEA is PredictEA with the scenario's neighbourhood already found.
+func (p *Predictor) predictEA(s Scenario, nb neighbourhood, dynamic []float64) (float64, error) {
+	input, err := p.builder.build(s, nb, dynamic)
 	if err != nil {
 		return 0, err
 	}
@@ -371,12 +376,16 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 	if cv := p.builder.BaseServiceCV(s.Service); cv > 0 {
 		s.ServiceCV = cv
 	}
-	dynamic := p.builder.Dynamics(s)
+	// Every iteration reconstructs inputs for the same two scenarios, so
+	// their library neighbourhoods are found once, up front.
+	nb := p.builder.neighbourhood(s)
+	dynamic := p.builder.dynamics(nb)
 	sim := simulators.Get().(*queueing.Simulator)
 	defer simulators.Put(sim)
 
 	never := s
 	never.Timeout = profile.TimeoutCap
+	nbNever := p.builder.neighbourhood(never)
 	neverDynamic := append([]float64(nil), dynamic...)
 	if len(neverDynamic) >= 3 {
 		neverDynamic[2] = 0 // never-boost windows have zero boosted queries
@@ -384,11 +393,11 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 
 	var pred Prediction
 	for iter := 0; iter <= p.iterations; iter++ {
-		eaPolicy, err := p.PredictEA(s, dynamic)
+		eaPolicy, err := p.predictEA(s, nb, dynamic)
 		if err != nil {
 			return Prediction{}, err
 		}
-		eaNever, err := p.PredictEA(never, neverDynamic)
+		eaNever, err := p.predictEA(never, nbNever, neverDynamic)
 		if err != nil {
 			return Prediction{}, err
 		}
@@ -560,6 +569,22 @@ func NewInputBuilder(library profile.Dataset) (*InputBuilder, error) {
 	return &InputBuilder{library: library, schema: library.Schema, neighbours: 4}, nil
 }
 
+// neighbourhood is a scenario's nearest library rows with their
+// inverse-distance weights, normalised to sum to 1. Both depend only on
+// the scenario's service and on its own and its partner's load and
+// timeout.
+type neighbourhood struct {
+	rows    []int
+	weights []float64
+}
+
+// neighbourhood finds the scenario's nearest library rows and weighs
+// them.
+func (b *InputBuilder) neighbourhood(s Scenario) neighbourhood {
+	nn := b.nearest(s, b.neighbours)
+	return neighbourhood{rows: nn, weights: b.neighbourWeights(s, nn)}
+}
+
 // neighbourWeights returns inverse-distance weights for the scenario's
 // nearest rows (normalised to sum to 1).
 func (b *InputBuilder) neighbourWeights(s Scenario, nn []int) []float64 {
@@ -585,19 +610,18 @@ func (b *InputBuilder) neighbourWeights(s Scenario, nn []int) []float64 {
 // Build reconstructs the full feature vector for a scenario using the
 // neighbour-estimated dynamic features.
 func (b *InputBuilder) Build(s Scenario) ([]float64, error) {
-	return b.build(s, b.Dynamics(s))
+	nb := b.neighbourhood(s)
+	return b.build(s, nb, b.dynamics(nb))
 }
 
-// Dynamics estimates the scenario's dynamic features by distance-weighted
-// averaging over the nearest profiled conditions.
-func (b *InputBuilder) Dynamics(s Scenario) []float64 {
-	nn := b.nearest(s, b.neighbours)
-	w := b.neighbourWeights(s, nn)
+// dynamics estimates a scenario's dynamic features by distance-weighted
+// averaging over its neighbourhood's profiled conditions.
+func (b *InputBuilder) dynamics(nb neighbourhood) []float64 {
 	dyn := make([]float64, len(b.schema.Dynamic))
 	off := len(b.schema.Static)
-	for k, i := range nn {
+	for k, i := range nb.rows {
 		for j := range dyn {
-			dyn[j] += w[k] * b.library.Rows[i].Features[off+j]
+			dyn[j] += nb.weights[k] * b.library.Rows[i].Features[off+j]
 		}
 	}
 	return dyn
@@ -632,24 +656,23 @@ func (b *InputBuilder) BaseServiceCV(service string) float64 {
 	return sum / float64(n)
 }
 
-// build assembles static ++ dynamic ++ borrowed matrix.
-func (b *InputBuilder) build(s Scenario, dynamic []float64) ([]float64, error) {
+// build assembles static ++ dynamic ++ the matrix borrowed from the
+// scenario's neighbourhood nb.
+func (b *InputBuilder) build(s Scenario, nb neighbourhood, dynamic []float64) ([]float64, error) {
 	if len(dynamic) != len(b.schema.Dynamic) {
 		return nil, fmt.Errorf("core: dynamic features have %d values, want %d",
 			len(dynamic), len(b.schema.Dynamic))
 	}
-	nn := b.nearest(s, b.neighbours)
-	if len(nn) == 0 {
+	if len(nb.rows) == 0 {
 		return nil, fmt.Errorf("core: no library rows to borrow profiles from")
 	}
-	w := b.neighbourWeights(s, nn)
 	off := b.schema.MatrixOffset()
 	matLen := b.schema.QueriesPerRow * counters.NumCounters
 	matrix := make([]float64, matLen)
-	for k, i := range nn {
+	for k, i := range nb.rows {
 		feats := b.library.Rows[i].Features
 		for j := 0; j < matLen; j++ {
-			matrix[j] += w[k] * feats[off+j]
+			matrix[j] += nb.weights[k] * feats[off+j]
 		}
 	}
 

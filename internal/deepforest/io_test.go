@@ -2,6 +2,8 @@ package deepforest
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"stac/internal/stats"
@@ -40,5 +42,27 @@ func TestModelSerializationRoundTrip(t *testing.T) {
 func TestLoadModelRejectsGarbage(t *testing.T) {
 	if _, err := LoadModel(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestGoldenModelFile pins the bytes Model.Save writes for a FastConfig
+// model trained on a fixed synthetic matrix: the model file format, the
+// builder's node order and every trained value (thresholds, leaf and
+// internal-node means, split gains) in one digest.
+func TestGoldenModelFile(t *testing.T) {
+	const want = "8b0202ff34a1e27d6b8741be767604be3c09f9685a6cfe42fe07b17ce7e2d98c"
+	x, y, spec := synthMatrix(160, 3, 12, 10, 71)
+	cfg := FastConfig(spec)
+	cfg.Workers = 2
+	m, err := Train(x, y, cfg, stats.NewRNG(72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("model file sha256 = %s, want %s (%d bytes)", got, want, buf.Len())
 	}
 }

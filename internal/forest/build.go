@@ -17,7 +17,8 @@ import (
 // identical; TestBuilderEquivalence enforces this.
 
 // buildItem is one pending subtree: the rows segment [lo,hi), its depth,
-// the parent node to patch once the subtree's root is allocated, and the
+// for a right child the parent node to patch once the subtree's root is
+// allocated (a left child is always the node after its parent), and the
 // segment's mean/variance (computed by the parent, exactly the values
 // the reference builder recomputes at child entry).
 type buildItem struct {
@@ -45,8 +46,10 @@ type treeBuilder struct {
 	cfg TreeConfig
 	rng *stats.RNG
 
-	tree *Tree
-	m    int // sample (multiset) size
+	// built holds the tree's nodes in preorder with their statistics
+	// until grow finishes and tree splits them into the Tree's arrays.
+	built []builtNode
+	m     int // sample (multiset) size
 
 	// tieRisk flags, per feature, whether the frame contains any pair of
 	// rows with equal feature value but different targets. Only such
@@ -107,7 +110,7 @@ func buildTreeTies(fr *Frame, y []float64, idx []int, cfg TreeConfig, rng *stats
 		return nil, fmt.Errorf("forest: empty index set")
 	}
 	cfg = cfg.withDefaults()
-	b := &treeBuilder{fr: fr, y: y, cfg: cfg, rng: rng, tree: &Tree{}, m: len(idx), tieRisk: tieRisk}
+	b := &treeBuilder{fr: fr, y: y, cfg: cfg, rng: rng, m: len(idx), tieRisk: tieRisk}
 	b.rows = make([]int32, b.m)
 	for k, i := range idx {
 		b.rows[k] = int32(i)
@@ -123,8 +126,31 @@ func buildTreeTies(fr *Frame, y []float64, idx []int, cfg TreeConfig, rng *stats
 	}
 	b.perm = make([]int, fr.d)
 	b.feats = make([]int, fr.d)
+	// Every leaf holds at least one of the m samples, so a tree has at
+	// most 2m−1 nodes, and at most 2^(MaxDepth+1)−1 when its depth is
+	// capped: one allocation holds any tree.
+	maxNodes := 2*b.m - 1
+	if d := cfg.MaxDepth; d > 0 && d < 30 {
+		maxNodes = min(maxNodes, 1<<(d+1)-1)
+	}
+	b.built = make([]builtNode, 0, maxNodes)
 	b.grow()
-	return b.tree, nil
+	return b.tree(), nil
+}
+
+// builtNode is a node and its statistics while the tree grows.
+type builtNode struct {
+	node
+	nodeStats
+}
+
+// tree copies the grown nodes into a Tree's two exact-size arrays.
+func (b *treeBuilder) tree() *Tree {
+	t := &Tree{nodes: make([]node, len(b.built)), stats: make([]nodeStats, len(b.built))}
+	for i, bn := range b.built {
+		t.nodes[i], t.stats[i] = bn.node, bn.nodeStats
+	}
+	return t
 }
 
 // initSorted expands the frame's per-feature presorted base orders into
@@ -164,22 +190,19 @@ func (b *treeBuilder) initSorted(idx []int) {
 
 // grow runs the explicit-stack preorder construction. Pop order matches
 // the reference recursion (node, left subtree, right subtree), so node
-// indices and RNG consumption are identical.
+// indices and RNG consumption are identical, and a split's left child is
+// the node allocated right after it.
 func (b *treeBuilder) grow() {
 	mean, variance := meanVarRows(b.y, b.rows)
-	b.stack = append(b.stack[:0], buildItem{lo: 0, hi: b.m, parent: -1, mean: mean, variance: variance})
+	b.stack = append(b.stack[:0], buildItem{lo: 0, hi: b.m, mean: mean, variance: variance})
 	for len(b.stack) > 0 {
 		it := b.stack[len(b.stack)-1]
 		b.stack = b.stack[:len(b.stack)-1]
 
-		me := int32(len(b.tree.nodes))
-		b.tree.nodes = append(b.tree.nodes, node{feature: -1, value: it.mean})
-		if it.parent >= 0 {
-			if it.right {
-				b.tree.nodes[it.parent].right = me
-			} else {
-				b.tree.nodes[it.parent].left = me
-			}
+		me := int32(len(b.built))
+		b.built = append(b.built, builtNode{node{feature: -1, thresh: it.mean}, nodeStats{mean: it.mean}})
+		if it.right {
+			b.built[it.parent].right = me
 		}
 
 		nNode := it.hi - it.lo
@@ -216,10 +239,8 @@ func (b *treeBuilder) grow() {
 		if gain < 0 {
 			gain = 0
 		}
-		nd := &b.tree.nodes[me]
-		nd.feature = feat
-		nd.thresh = thresh
-		nd.gain = gain
+		b.built[me].node = node{feature: int32(feat), thresh: thresh}
+		b.built[me].gain = gain
 		if b.sorted != nil {
 			needL := b.needsSorted(nl, it.depth+1, varL)
 			needR := b.needsSorted(nNode-nl, it.depth+1, varR)
@@ -230,7 +251,7 @@ func (b *treeBuilder) grow() {
 		// LIFO: push right first so the left subtree is built next.
 		b.stack = append(b.stack,
 			buildItem{lo: lo, hi: it.hi, depth: it.depth + 1, parent: me, right: true, mean: meanR, variance: varR},
-			buildItem{lo: it.lo, hi: lo, depth: it.depth + 1, parent: me, mean: meanL, variance: varL})
+			buildItem{lo: it.lo, hi: lo, depth: it.depth + 1, mean: meanL, variance: varL})
 	}
 }
 
@@ -436,16 +457,25 @@ func (b *treeBuilder) sampledSplit(lo, hi, f int) (float64, float64, bool) {
 		leftSum[i] = 0
 		leftN[i] = 0
 	}
+	// Which side a row falls on is a coin flip per threshold, so the
+	// inner loop adds to every accumulator and lets a 0/all-ones mask
+	// choose between yv and +0 instead of taking a mispredicted branch.
+	// This is exact: every leftSum starts at +0, an IEEE sum that starts
+	// at +0 never becomes −0, and adding +0 to anything else, NaN and ±Inf
+	// included, leaves it unchanged.
 	var totalSum float64
 	for _, i := range rows {
 		yv := b.y[i]
+		yb := math.Float64bits(yv)
 		v := col[i]
 		totalSum += yv
 		for t, th := range thr {
+			var left uint64
 			if v <= th {
-				leftSum[t] += yv
-				leftN[t]++
+				left = 1
 			}
+			leftSum[t] += math.Float64frombits(yb & -left)
+			leftN[t] += int(left)
 		}
 	}
 	bestScore := math.Inf(-1)

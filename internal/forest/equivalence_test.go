@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -44,23 +45,39 @@ func equivData(r *stats.RNG, n, d int) ([][]float64, []float64) {
 	return x, y
 }
 
+// treesEqual compares every field of every node: the prediction nodes
+// and training statistics directly, then the encoded trees, which spell
+// out both children of every split and compare floats bit for bit.
 func treesEqual(t *testing.T, want, got *Tree) {
 	t.Helper()
-	if len(want.nodes) != len(got.nodes) {
-		t.Fatalf("node count: reference %d, columnar %d", len(want.nodes), len(got.nodes))
+	if len(want.nodes) != len(got.nodes) || len(want.stats) != len(got.stats) {
+		t.Fatalf("node count: reference %d/%d, columnar %d/%d",
+			len(want.nodes), len(want.stats), len(got.nodes), len(got.stats))
 	}
 	for i := range want.nodes {
-		if want.nodes[i] != got.nodes[i] {
-			t.Fatalf("node %d differs:\nreference %+v\ncolumnar  %+v", i, want.nodes[i], got.nodes[i])
+		if want.nodes[i] != got.nodes[i] || want.stats[i] != got.stats[i] {
+			t.Fatalf("node %d differs:\nreference %+v %+v\ncolumnar  %+v %+v",
+				i, want.nodes[i], want.stats[i], got.nodes[i], got.stats[i])
 		}
+	}
+	wb, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wb, gb) {
+		t.Fatal("encoded trees differ")
 	}
 }
 
 // TestBuilderEquivalence pins the columnar work-stack builder to the
 // frozen recursive reference: node-for-node identical trees (feature,
-// threshold, children, value, gain — exact float equality) and identical
-// RNG consumption, across exact-sweep, sampled and completely-random
-// configs, with and without bootstrap resampling.
+// threshold, both children, value, gain — exact float equality) and
+// identical RNG consumption, across exact-sweep, sampled and
+// completely-random configs, with and without bootstrap resampling.
 func TestBuilderEquivalence(t *testing.T) {
 	geom := stats.NewRNG(97)
 	for trial := 0; trial < 6; trial++ {
@@ -135,15 +152,15 @@ func TestSampleFeaturesMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDepthIterativeDeepChain builds a degenerate left-leaning chain far
+// TestDepthIterativeDeepChain builds a degenerate right-leaning chain far
 // deeper than any recursion-friendly depth and checks Depth handles it.
 func TestDepthIterativeDeepChain(t *testing.T) {
 	const depth = 200_000
 	tr := &Tree{nodes: make([]node, 2*depth+1)}
 	for i := 0; i < depth; i++ {
-		// Internal node 2i: left child is the next internal node (or the
-		// final leaf), right child is leaf 2i+1.
-		tr.nodes[2*i] = node{feature: 0, thresh: 0, left: int32(2*i + 2), right: int32(2*i + 1)}
+		// Internal node 2i: its left child is leaf 2i+1, its right child
+		// the next internal node (or the final leaf).
+		tr.nodes[2*i] = node{feature: 0, right: int32(2*i + 2)}
 		tr.nodes[2*i+1] = node{feature: -1}
 	}
 	tr.nodes[2*depth] = node{feature: -1}

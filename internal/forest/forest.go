@@ -44,20 +44,15 @@ func CompletelyRandomForest(nTrees int) Config {
 
 // Forest is a trained ensemble of regression trees.
 type Forest struct {
-	trees []*Tree
+	// trees are held by value, so a prediction reads every tree's node
+	// slice from one array instead of from one heap object per tree.
+	trees []Tree
 	// workers bounds PredictBatch parallelism; 0 means GOMAXPROCS. Set
-	// from Config.Workers at training time, adjustable via SetWorkers;
-	// deliberately not serialised (it is a property of the host, not the
-	// model).
+	// from Config.Workers at training time and deliberately not
+	// serialised (it is a property of the host, not the model), so a
+	// decoded forest uses GOMAXPROCS.
 	workers int
 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
-// SetWorkers bounds PredictBatch parallelism for a forest constructed
-// elsewhere (e.g. deserialised); 0 means GOMAXPROCS.
-func (f *Forest) SetWorkers(w int) { f.workers = w }
 
 // Train fits a forest on the feature matrix x and targets y. It gathers
 // x into a columnar Frame once and shares it across all trees; see
@@ -96,7 +91,7 @@ func TrainFrame(fr *Frame, y []float64, cfg Config, rng *stats.RNG) (*Forest, er
 
 	// Derive per-tree RNGs up front for determinism.
 	rngs := rng.SplitN(cfg.Trees)
-	trees := make([]*Tree, cfg.Trees)
+	trees := make([]Tree, cfg.Trees)
 	t0 := time.Now()
 	if err := par.ForEach(cfg.Workers, cfg.Trees, func(t int) error {
 		return buildForestTree(fr, y, cfg, t, rngs[t], tieRisk, trees)
@@ -110,7 +105,7 @@ func TrainFrame(fr *Frame, y []float64, cfg Config, rng *stats.RNG) (*Forest, er
 
 // buildForestTree grows tree t into trees[t], wrapping any failure with
 // the tree index so parallel training reports which estimator broke.
-func buildForestTree(fr *Frame, y []float64, cfg Config, t int, r *stats.RNG, tieRisk []bool, trees []*Tree) error {
+func buildForestTree(fr *Frame, y []float64, cfg Config, t int, r *stats.RNG, tieRisk []bool, trees []Tree) error {
 	n := fr.n
 	idx := make([]int, n)
 	if cfg.Bootstrap {
@@ -126,7 +121,7 @@ func buildForestTree(fr *Frame, y []float64, cfg Config, t int, r *stats.RNG, ti
 	if err != nil {
 		return fmt.Errorf("forest: tree %d: %w", t, err)
 	}
-	trees[t] = tree
+	trees[t] = *tree
 	return nil
 }
 
@@ -137,7 +132,7 @@ func (f *Forest) NumInputs() int {
 	n := 0
 	for _, t := range f.trees {
 		for _, nd := range t.nodes {
-			n = max(n, nd.feature+1)
+			n = max(n, int(nd.feature)+1)
 		}
 	}
 	return n
@@ -149,8 +144,8 @@ func (f *Forest) Predict(x []float64) float64 {
 		return 0
 	}
 	var sum float64
-	for _, t := range f.trees {
-		sum += t.Predict(x)
+	for i := range f.trees {
+		sum += f.trees[i].Predict(x)
 	}
 	return sum / float64(len(f.trees))
 }
@@ -197,10 +192,11 @@ func (f *Forest) FeatureImportance(numFeatures int) []float64 {
 	weights := make([]float64, numFeatures)
 	total := 0.0
 	for _, t := range f.trees {
-		for _, n := range t.nodes {
-			if n.feature >= 0 && n.feature < numFeatures {
-				weights[n.feature] += n.gain
-				total += n.gain
+		for i, n := range t.nodes {
+			if n.feature >= 0 && int(n.feature) < numFeatures {
+				gain := t.stats[i].gain
+				weights[n.feature] += gain
+				total += gain
 			}
 		}
 	}

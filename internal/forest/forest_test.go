@@ -28,6 +28,40 @@ func synth(n int, seed uint64) ([][]float64, []float64) {
 	return x, y
 }
 
+// NumNodes returns the number of nodes in the tree.
+func (t *Tree) NumNodes() int { return len(t.nodes) }
+
+// NumTrees returns the ensemble size.
+func (f *Forest) NumTrees() int { return len(f.trees) }
+
+// Depth returns the maximum depth of the tree (a single leaf has depth 0).
+// Unlimited-depth trees over adversarial data can be chains of thousands
+// of nodes, so the walk keeps its own stack instead of recursing.
+func (t *Tree) Depth() int {
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	type frame struct {
+		i     int32
+		depth int
+	}
+	stack := []frame{{0, 0}}
+	max := 0
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &t.nodes[f.i]
+		if n.feature < 0 {
+			if f.depth > max {
+				max = f.depth
+			}
+			continue
+		}
+		stack = append(stack, frame{f.i + 1, f.depth + 1}, frame{n.right, f.depth + 1})
+	}
+	return max
+}
+
 func mse(pred, truth []float64) float64 {
 	s := 0.0
 	for i := range pred {
@@ -294,7 +328,7 @@ func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestBuildForestTreeErrorCarriesIndex(t *testing.T) {
 	// BuildTree rejects empty inputs; the per-tree wrapper must tag the
 	// failure with the tree index so parallel training is debuggable.
-	trees := make([]*Tree, 8)
+	trees := make([]Tree, 8)
 	err := buildForestTree(NewFrame(nil), nil, RandomForest(8), 5, stats.NewRNG(1), nil, trees)
 	if err == nil {
 		t.Fatal("expected an error for empty training data")

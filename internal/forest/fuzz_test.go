@@ -38,9 +38,12 @@ func FuzzTreeUnmarshal(f *testing.F) {
 		return buf.Bytes()
 	}
 	// A split whose left child is itself, one whose right child is its
-	// parent, an empty tree and a lone leaf.
+	// parent, one whose children are swapped (both come after it, but
+	// the left child is not the next node), an empty tree and a lone
+	// leaf.
 	f.Add(encode(treeDTO{Feature: []int32{0, -1}, Thresh: []float64{0.5, 0}, Left: []int32{0, 0}, Right: []int32{1, 0}, Value: []float64{0, 1}}))
 	f.Add(encode(treeDTO{Feature: []int32{0, 1, -1}, Thresh: []float64{0.5, 0.5, 0}, Left: []int32{2, 2, 0}, Right: []int32{1, 0, 0}, Value: []float64{0, 0, 1}}))
+	f.Add(encode(notPreorder))
 	f.Add(encode(treeDTO{}))
 	f.Add(encode(treeDTO{Feature: []int32{-1}, Thresh: []float64{0}, Left: []int32{0}, Right: []int32{0}, Value: []float64{2}}))
 
@@ -53,7 +56,7 @@ func FuzzTreeUnmarshal(f *testing.F) {
 			}
 			return
 		}
-		width := (&Forest{trees: []*Tree{&tr}}).NumInputs()
+		width := (&Forest{trees: []Tree{tr}}).NumInputs()
 		for _, v := range []float64{0, math.Inf(-1), math.Inf(1), math.NaN()} {
 			probe := make([]float64, width)
 			for i := range probe {
@@ -74,11 +77,12 @@ func FuzzTreeUnmarshal(f *testing.F) {
 		}
 		for i, a := range tr.nodes {
 			b := back.nodes[i]
-			if a.feature != b.feature || a.left != b.left || a.right != b.right ||
+			as, bs := tr.stats[i], back.stats[i]
+			if a.feature != b.feature || a.right != b.right ||
 				math.Float64bits(a.thresh) != math.Float64bits(b.thresh) ||
-				math.Float64bits(a.value) != math.Float64bits(b.value) ||
-				math.Float64bits(a.gain) != math.Float64bits(b.gain) {
-				t.Fatalf("round trip changed node %d: %+v -> %+v", i, a, b)
+				math.Float64bits(as.mean) != math.Float64bits(bs.mean) ||
+				math.Float64bits(as.gain) != math.Float64bits(bs.gain) {
+				t.Fatalf("round trip changed node %d: %+v %+v -> %+v %+v", i, a, as, b, bs)
 			}
 		}
 	})

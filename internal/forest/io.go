@@ -7,6 +7,9 @@ import (
 )
 
 // treeDTO is the serialised form of a Tree (exported fields for gob).
+// Left is always i+1 for a split, which the preorder rule already says;
+// it stays so that the file format does not change. Leaves write 0 for
+// Thresh, Left and Right and keep their output in Value.
 type treeDTO struct {
 	Feature []int32
 	Thresh  []float64
@@ -27,12 +30,14 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 		Gain:    make([]float64, len(t.nodes)),
 	}
 	for i, n := range t.nodes {
-		dto.Feature[i] = int32(n.feature)
-		dto.Thresh[i] = n.thresh
-		dto.Left[i] = n.left
-		dto.Right[i] = n.right
-		dto.Value[i] = n.value
-		dto.Gain[i] = n.gain
+		dto.Feature[i] = n.feature
+		dto.Value[i] = t.stats[i].mean
+		dto.Gain[i] = t.stats[i].gain
+		if n.feature >= 0 {
+			dto.Thresh[i] = n.thresh
+			dto.Left[i] = int32(i + 1)
+			dto.Right[i] = n.right
+		}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
@@ -43,9 +48,10 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 
 // FormatError reports serialised bytes that do not decode to a usable
 // tree or forest: a corrupt encoding, an empty tree or forest, or an
-// internal node whose children do not come after it. The builder lays
-// trees out in preorder, so every trained tree passes, and a decoded
-// tree's Predict always reaches a leaf.
+// internal node whose left child is not the next node or whose right
+// child does not come after it. The builder lays trees out in preorder,
+// so every trained tree passes, and a decoded tree's Predict always
+// reaches a leaf.
 type FormatError struct {
 	Msg string
 	Err error // the decoder's error, if any
@@ -82,22 +88,25 @@ func (t *Tree) decode(data []byte) *FormatError {
 		return &FormatError{Msg: "tree node arrays differ in length"}
 	}
 	t.nodes = make([]node, n)
+	t.stats = make([]nodeStats, n)
 	for i := range t.nodes {
-		left, right := dto.Left[i], dto.Right[i]
-		if dto.Feature[i] >= 0 && !(int(left) > i && int(left) < n && int(right) > i && int(right) < n) {
-			return &FormatError{Msg: fmt.Sprintf("node %d: children %d and %d do not both come after it in a %d-node tree",
-				i, left, right, n)}
-		}
-		t.nodes[i] = node{
-			feature: int(dto.Feature[i]),
-			thresh:  dto.Thresh[i],
-			left:    left,
-			right:   right,
-			value:   dto.Value[i],
-		}
+		t.nodes[i] = node{feature: dto.Feature[i], thresh: dto.Value[i]}
+		t.stats[i].mean = dto.Value[i]
 		if i < len(dto.Gain) {
-			t.nodes[i].gain = dto.Gain[i]
+			t.stats[i].gain = dto.Gain[i]
 		}
+		if dto.Feature[i] < 0 {
+			continue
+		}
+		left, right := dto.Left[i], dto.Right[i]
+		if int(left) != i+1 {
+			return &FormatError{Msg: fmt.Sprintf("node %d: left child %d is not the next node (trees are stored in preorder)", i, left)}
+		}
+		if !(int(right) > i && int(right) < n) {
+			return &FormatError{Msg: fmt.Sprintf("node %d: right child %d does not come after it in a %d-node tree", i, right, n)}
+		}
+		t.nodes[i].thresh = dto.Thresh[i]
+		t.nodes[i].right = right
 	}
 	return nil
 }
@@ -110,8 +119,8 @@ type forestDTO struct {
 // MarshalBinary encodes the forest.
 func (f *Forest) MarshalBinary() ([]byte, error) {
 	dto := forestDTO{Trees: make([][]byte, len(f.trees))}
-	for i, t := range f.trees {
-		b, err := t.MarshalBinary()
+	for i := range f.trees {
+		b, err := f.trees[i].MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -133,14 +142,12 @@ func (f *Forest) UnmarshalBinary(data []byte) error {
 	if len(dto.Trees) == 0 {
 		return &FormatError{Msg: "empty forest"}
 	}
-	f.trees = make([]*Tree, len(dto.Trees))
+	f.trees = make([]Tree, len(dto.Trees))
 	for i, b := range dto.Trees {
-		t := &Tree{}
-		if fe := t.decode(b); fe != nil {
+		if fe := f.trees[i].decode(b); fe != nil {
 			fe.Msg = fmt.Sprintf("tree %d: %s", i, fe.Msg)
 			return fe
 		}
-		f.trees[i] = t
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package forest
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"strings"
 	"testing"
 
 	"stac/internal/stats"
@@ -59,5 +63,29 @@ func TestUnmarshalRejectsCorruptTree(t *testing.T) {
 	var tr Tree
 	if err := tr.UnmarshalBinary([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// notPreorder is a three-node tree whose split has both children after
+// it but swapped: its left child is node 2, not the next node, which the
+// preorder node layout cannot represent.
+var notPreorder = treeDTO{
+	Feature: []int32{0, -1, -1},
+	Thresh:  []float64{0.5, 0, 0},
+	Left:    []int32{2, 0, 0},
+	Right:   []int32{1, 0, 0},
+	Value:   []float64{0, 1, 2},
+}
+
+func TestUnmarshalRejectsNonPreorderTree(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(notPreorder); err != nil {
+		t.Fatal(err)
+	}
+	var tr Tree
+	err := tr.UnmarshalBinary(buf.Bytes())
+	var fe *FormatError
+	if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "not the next node") {
+		t.Fatalf("non-preorder tree: error %v, want a *FormatError naming the left child", err)
 	}
 }

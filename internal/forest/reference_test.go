@@ -13,6 +13,9 @@ import (
 // work-stack builder in build.go must produce node-for-node identical
 // trees and consume the RNG stream identically. Keep this in sync with
 // nothing — it is frozen history, the oracle the rewrite is pinned to.
+// Only its node storage follows the live layout: a leaf's mean goes in
+// its thresh slot too, and a split stores its right child, since its
+// left child, built first, is always the next node.
 
 // refBuildTree is the pre-rewrite BuildTree.
 func refBuildTree(x [][]float64, y []float64, idx []int, cfg TreeConfig, rng *stats.RNG) (*Tree, error) {
@@ -45,9 +48,11 @@ type refBuilder struct {
 func (b *refBuilder) grow(idx []int, depth int) int32 {
 	me := int32(len(b.tree.nodes))
 	b.tree.nodes = append(b.tree.nodes, node{feature: -1})
+	b.tree.stats = append(b.tree.stats, nodeStats{})
 
 	mean, variance := meanVar(b.y, idx)
-	b.tree.nodes[me].value = mean
+	b.tree.nodes[me].thresh = mean
+	b.tree.stats[me].mean = mean
 
 	if len(idx) < 2*b.cfg.MinLeaf || variance <= 1e-18 {
 		return me
@@ -82,11 +87,11 @@ func (b *refBuilder) grow(idx []int, depth int) int32 {
 	}
 	left := b.grow(idx[:lo], depth+1)
 	right := b.grow(idx[lo:], depth+1)
-	b.tree.nodes[me].feature = feat
-	b.tree.nodes[me].thresh = thresh
-	b.tree.nodes[me].left = left
-	b.tree.nodes[me].right = right
-	b.tree.nodes[me].gain = gain
+	if left != me+1 {
+		panic(fmt.Sprintf("reference: left child %d of node %d is not the next node", left, me))
+	}
+	b.tree.nodes[me] = node{feature: int32(feat), thresh: thresh, right: right}
+	b.tree.stats[me].gain = gain
 	return me
 }
 

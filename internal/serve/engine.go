@@ -235,7 +235,14 @@ func (e *Engine) predict(req PredictRequest, start time.Time) (PredictResponse, 
 
 	deadline := start.Add(e.cfg.DefaultDeadline)
 	if req.DeadlineMS > 0 {
-		deadline = start.Add(time.Duration(req.DeadlineMS * float64(time.Millisecond)))
+		// Past about 292 years a float-to-Duration conversion overflows
+		// to a deadline in the past, so longer ones wait the longest a
+		// Duration can say.
+		d := time.Duration(math.MaxInt64)
+		if ns := req.DeadlineMS * float64(time.Millisecond); ns < math.MaxInt64 {
+			d = time.Duration(ns)
+		}
+		deadline = start.Add(d)
 	}
 	if time.Now().After(deadline) {
 		e.batcher.shedLate.Inc()

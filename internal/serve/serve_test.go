@@ -52,7 +52,7 @@ func (m *stubModel) batchSizes() []int {
 // syntheticLibrary builds a tiny in-memory profiling library: enough
 // rows per service for templates, the input builder and the predictor,
 // without running the testbed.
-func syntheticLibrary(t *testing.T) profile.Dataset {
+func syntheticLibrary(t testing.TB) profile.Dataset {
 	t.Helper()
 	schema := profile.DefaultSchema()
 	mk := func(service string, load, timeout, fill float64, cond int) profile.Row {
@@ -146,6 +146,18 @@ func TestEngineRejectsBadRequests(t *testing.T) {
 		if _, serr := e.Predict(req); serr == nil || serr.Code != CodeBadRequest {
 			t.Errorf("request %+v: error %v, want code %s", req, serr, CodeBadRequest)
 		}
+	}
+}
+
+// TestEngineHugeDeadlineAdmits sends a deadline longer than a
+// time.Duration can hold: it must wait, not overflow into a deadline
+// that has already passed.
+func TestEngineHugeDeadlineAdmits(t *testing.T) {
+	e := newTestEngine(t, &stubModel{ea: 0.5}, Config{})
+	req := testRequest()
+	req.DeadlineMS = 1e308
+	if _, serr := e.Predict(req); serr != nil {
+		t.Fatalf("predict with a 1e308 ms deadline: %v", serr)
 	}
 }
 

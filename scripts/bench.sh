@@ -95,7 +95,11 @@ RAW_FOREST=$(mktemp)
 RAW_QUEUE=$(mktemp)
 RAW_MRC=$(mktemp)
 RAW_FLEET=$(mktemp)
-trap 'rm -f "$RAW_CACHE" "$RAW_FOREST" "$RAW_QUEUE" "$RAW_MRC" "$RAW_FLEET"' EXIT
+# The stac binary gets a private directory, so concurrent runs from two
+# checkouts never share one.
+BIN_DIR=$(mktemp -d)
+STAC="$BIN_DIR/stac"
+trap 'rm -f "$RAW_CACHE" "$RAW_FOREST" "$RAW_QUEUE" "$RAW_MRC" "$RAW_FLEET"; rm -rf "$BIN_DIR"' EXIT
 
 echo "== micro-benchmarks (internal/cache, count=$COUNT, benchtime=$BENCHTIME) =="
 go test -run '^$' -bench '.' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
@@ -118,9 +122,9 @@ go test -run '^$' -bench '.' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
     ./internal/fleet | tee "$RAW_FLEET"
 
 echo "== end-to-end: fig6 regeneration wall clock =="
-go build -o /tmp/stac-bench ./cmd/stac
+go build -o "$STAC" ./cmd/stac
 START=$(date +%s.%N)
-/tmp/stac-bench experiment fig6 -seed 2022 > /dev/null
+"$STAC" experiment fig6 -seed 2022 > /dev/null
 END=$(date +%s.%N)
 FIG6=$(awk -v a="$START" -v b="$END" 'BEGIN { printf "%.3f", b - a }')
 echo "fig6 wall clock: ${FIG6}s"
@@ -134,14 +138,14 @@ else
     OPEN_QPS=20000
 fi
 SERVE_DIR=$(mktemp -d)
-trap 'rm -f "$RAW_CACHE" "$RAW_FOREST" "$RAW_QUEUE" "$RAW_MRC" "$RAW_FLEET"; rm -rf "$SERVE_DIR"' EXIT
-/tmp/stac-bench profile -a redis -b bfs -points 6 -queries 30 -out "$SERVE_DIR/profile.json.gz"
-/tmp/stac-bench train -in "$SERVE_DIR/profile.json.gz" -model "$SERVE_DIR/model.gob"
-/tmp/stac-bench loadtest -model "$SERVE_DIR/model.gob" -data "$SERVE_DIR/profile.json.gz" \
+trap 'rm -f "$RAW_CACHE" "$RAW_FOREST" "$RAW_QUEUE" "$RAW_MRC" "$RAW_FLEET"; rm -rf "$BIN_DIR" "$SERVE_DIR"' EXIT
+"$STAC" profile -a redis -b bfs -points 6 -queries 30 -out "$SERVE_DIR/profile.json.gz"
+"$STAC" train -in "$SERVE_DIR/profile.json.gz" -model "$SERVE_DIR/model.gob"
+"$STAC" loadtest -model "$SERVE_DIR/model.gob" -data "$SERVE_DIR/profile.json.gz" \
     -duration "$LOAD_DUR" -warmup 1s -workers 4 -json "$SERVE_DIR/closed_cached.json"
-/tmp/stac-bench loadtest -model "$SERVE_DIR/model.gob" -data "$SERVE_DIR/profile.json.gz" \
+"$STAC" loadtest -model "$SERVE_DIR/model.gob" -data "$SERVE_DIR/profile.json.gz" \
     -duration "$LOAD_DUR" -warmup 1s -workers 16 -nocache -json "$SERVE_DIR/closed_cold.json"
-/tmp/stac-bench loadtest -model "$SERVE_DIR/model.gob" -data "$SERVE_DIR/profile.json.gz" \
+"$STAC" loadtest -model "$SERVE_DIR/model.gob" -data "$SERVE_DIR/profile.json.gz" \
     -duration "$LOAD_DUR" -warmup 1s -mode open -qps "$OPEN_QPS" -workers 32 \
     -json "$SERVE_DIR/open.json"
 
