@@ -84,9 +84,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Bytes returns the total capacity in bytes.
-func (c Config) Bytes() int { return c.Sets * c.Ways * c.LineSize }
-
 // Stats accumulates per-CLOS access accounting.
 type Stats struct {
 	Loads  uint64 // read accesses
@@ -107,15 +104,6 @@ type Stats struct {
 	EvictionsCaused uint64
 	// EvictionsSuffered counts this CLOS's lines displaced by others.
 	EvictionsSuffered uint64
-}
-
-// MissRatio returns misses / (hits+misses), or 0 with no accesses.
-func (s Stats) MissRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
 }
 
 // Accesses returns the total number of accesses.
@@ -295,9 +283,6 @@ func fullMask(ways int) uint64 {
 	}
 	return (uint64(1) << uint(ways)) - 1
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
 
 // SetMask installs the capacity bitmask for a CLOS. Bits above the way
 // count are ignored. An all-zero effective mask is legal but makes the

@@ -219,14 +219,3 @@ func TestLoadsStoresCounted(t *testing.T) {
 		t.Fatalf("loads=%d stores=%d, want 1/2", st.Loads, st.Stores)
 	}
 }
-
-func TestMissRatio(t *testing.T) {
-	var s Stats
-	if s.MissRatio() != 0 {
-		t.Fatal("empty miss ratio should be 0")
-	}
-	s.Hits, s.Misses = 3, 1
-	if got := s.MissRatio(); got != 0.25 {
-		t.Fatalf("miss ratio %v, want 0.25", got)
-	}
-}

@@ -39,7 +39,8 @@ func missRatioUnder(t *testing.T, rep Replacement, seed uint64) float64 {
 		}
 		c.Access(0, addr, false)
 	}
-	return c.Stats(0).MissRatio()
+	st := c.Stats(0)
+	return float64(st.Misses) / float64(st.Accesses())
 }
 
 func TestAllPoliciesFunctional(t *testing.T) {

@@ -13,7 +13,6 @@
 package cat
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -56,43 +55,9 @@ func (s Setting) Mask() uint64 {
 	return ((uint64(1) << uint(s.Length)) - 1) << uint(s.Offset)
 }
 
-// Contains reports whether way v lies inside the setting.
-func (s Setting) Contains(v int) bool {
-	return v >= s.Offset && v < s.Offset+s.Length
-}
-
-// Overlap returns the number of ways shared between s and t.
-func (s Setting) Overlap(t Setting) int {
-	lo := max(s.Offset, t.Offset)
-	hi := min(s.Offset+s.Length, t.Offset+t.Length)
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
-// Equal reports whether two settings denote the same span.
-func (s Setting) Equal(t Setting) bool { return s.Offset == t.Offset && s.Length == t.Length }
-
 // String renders the setting as "[offset,offset+length)".
 func (s Setting) String() string {
 	return fmt.Sprintf("[%d,%d)", s.Offset, s.Offset+s.Length)
-}
-
-// FromMask converts a capacity bitmask back into a Setting. It returns an
-// error when the mask is empty or non-contiguous (which real CAT hardware
-// rejects as well).
-func FromMask(mask uint64) (Setting, error) {
-	if mask == 0 {
-		return Setting{}, errors.New("cat: empty capacity bitmask")
-	}
-	off := bits.TrailingZeros64(mask)
-	length := bits.OnesCount64(mask)
-	want := ((uint64(1) << uint(length)) - 1) << uint(off)
-	if mask != want {
-		return Setting{}, fmt.Errorf("cat: non-contiguous capacity bitmask %#x", mask)
-	}
-	return Setting{Offset: off, Length: length}, nil
 }
 
 // STAP is a short-term allocation policy (a, a′, t): run under Default,
@@ -129,15 +94,6 @@ func (p STAP) Validate(totalWays int) error {
 	return nil
 }
 
-// BoostRatio returns l_a′ / l_a, the gross increase in allocation used as
-// the denominator of effective cache allocation (Equation 3).
-func (p STAP) BoostRatio() float64 {
-	if p.Default.Length == 0 {
-		return 0
-	}
-	return float64(p.Boost.Length) / float64(p.Default.Length)
-}
-
 // Private computes V(a,a′) of Equation 1 for policy p in the context of
 // other policies: the ways present in both p.Default and p.Boost and in no
 // other policy's settings. These are the ways that guarantee p's baseline
@@ -150,16 +106,6 @@ func (p STAP) Private(others []STAP) []int {
 	return maskToWays(mask)
 }
 
-// Shared computes the ways in p's boost setting that at least one other
-// policy can also touch — the contention surface of short-term allocation.
-func (p STAP) Shared(others []STAP) []int {
-	var union uint64
-	for _, o := range others {
-		union |= o.Default.Mask() | o.Boost.Mask()
-	}
-	return maskToWays(p.Boost.Mask() & union)
-}
-
 func maskToWays(mask uint64) []int {
 	var ways []int
 	for mask != 0 {
@@ -168,18 +114,4 @@ func maskToWays(mask uint64) []int {
 		mask &^= 1 << uint(w)
 	}
 	return ways
-}
-
-// SharerCount returns, for policy p among all policies (p excluded from
-// others), the number of distinct other policies whose settings overlap
-// p's boost span. The paper proves that when every policy reserves private
-// cache, this count is at most 2.
-func (p STAP) SharerCount(others []STAP) int {
-	n := 0
-	for _, o := range others {
-		if p.Boost.Mask()&(o.Default.Mask()|o.Boost.Mask()) != 0 {
-			n++
-		}
-	}
-	return n
 }

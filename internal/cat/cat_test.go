@@ -1,6 +1,9 @@
 package cat
 
 import (
+	"errors"
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -31,7 +34,7 @@ func TestFromMaskRoundTrip(t *testing.T) {
 		}
 		s := Setting{Offset: off, Length: length}
 		got, err := FromMask(s.Mask())
-		return err == nil && got.Equal(s)
+		return err == nil && got == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -67,21 +70,6 @@ func TestSettingValidate(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	a := Setting{0, 4}
-	b := Setting{2, 4}
-	c := Setting{4, 2}
-	if got := a.Overlap(b); got != 2 {
-		t.Errorf("overlap(a,b) = %d, want 2", got)
-	}
-	if got := a.Overlap(c); got != 0 {
-		t.Errorf("overlap(a,c) = %d, want 0", got)
-	}
-	if got := b.Overlap(a); got != 2 {
-		t.Errorf("overlap symmetric failed")
-	}
-}
-
 func TestSTAPValidateBoostMustCoverDefault(t *testing.T) {
 	p := STAP{
 		Default: Setting{0, 2},
@@ -96,16 +84,9 @@ func TestSTAPValidateBoostMustCoverDefault(t *testing.T) {
 	}
 }
 
-func TestSTAPBoostRatio(t *testing.T) {
-	p := STAP{Default: Setting{0, 2}, Boost: Setting{0, 4}}
-	if got := p.BoostRatio(); got != 2 {
-		t.Fatalf("BoostRatio = %v, want 2", got)
-	}
-}
-
 func TestPrivateAndShared(t *testing.T) {
 	// Paper's example: A private {0,1}, B private {4,5}, shared {2,3}.
-	l, err := PlanPair(6, 2, 2)
+	l, err := PlanChain(6, 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +173,14 @@ func TestConjectureAtMostTwoSharers(t *testing.T) {
 }
 
 func TestPlanPairErrors(t *testing.T) {
-	if _, err := PlanPair(5, 2, 2); err == nil {
-		t.Error("PlanPair should fail when ways do not fit")
+	if _, err := PlanChain(5, 2, 2, 2); err == nil {
+		t.Error("a pair should fail when ways do not fit")
 	}
-	if _, err := PlanPair(10, 0, 2); err == nil {
-		t.Error("PlanPair should reject zero private ways")
+	if _, err := PlanChain(10, 2, 0, 2); err == nil {
+		t.Error("a pair should reject zero private ways")
 	}
-	if _, err := PlanPair(10, 2, -1); err == nil {
-		t.Error("PlanPair should reject negative shared ways")
+	if _, err := PlanChain(10, 2, 2, -1); err == nil {
+		t.Error("a pair should reject negative shared ways")
 	}
 }
 
@@ -212,33 +193,9 @@ func TestPlanChainSingle(t *testing.T) {
 		t.Fatalf("want 1 policy, got %d", len(l.Policies))
 	}
 	// A single workload has no sharers; boost equals default span.
-	if got := l.Policies[0].Boost; !got.Equal(Setting{0, 2}) {
+	if got := l.Policies[0].Boost; got != (Setting{0, 2}) {
 		t.Fatalf("single-workload boost = %v, want [0,2)", got)
 	}
-}
-
-func TestWithTimeouts(t *testing.T) {
-	l, err := PlanPair(8, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2 := l.WithTimeouts([]float64{1.5, 3})
-	if l2.Policies[0].Timeout != 1.5 || l2.Policies[1].Timeout != 3 {
-		t.Fatal("timeouts not installed")
-	}
-	if l.Policies[0].Timeout != 0 {
-		t.Fatal("WithTimeouts mutated the original layout")
-	}
-}
-
-func TestWithTimeoutsPanicsOnMismatch(t *testing.T) {
-	l, _ := PlanPair(8, 2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	l.WithTimeouts([]float64{1})
 }
 
 func TestPlanPoolBreaksTwoSharerBound(t *testing.T) {
@@ -336,8 +293,8 @@ func TestPlanChainAsymMatchesSymmetric(t *testing.T) {
 		t.Fatalf("policy count %d != %d", len(got.Policies), len(want.Policies))
 	}
 	for i := range got.Policies {
-		if !got.Policies[i].Default.Equal(want.Policies[i].Default) ||
-			!got.Policies[i].Boost.Equal(want.Policies[i].Boost) {
+		if got.Policies[i].Default != want.Policies[i].Default ||
+			got.Policies[i].Boost != want.Policies[i].Boost {
 			t.Fatalf("policy %d: got %+v want %+v", i, got.Policies[i], want.Policies[i])
 		}
 	}
@@ -349,16 +306,16 @@ func TestPlanChainAsymPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Policies[0].Default; !got.Equal(Setting{0, 5}) {
+	if got := l.Policies[0].Default; got != (Setting{0, 5}) {
 		t.Fatalf("A default = %v", got)
 	}
-	if got := l.Policies[0].Boost; !got.Equal(Setting{0, 8}) {
+	if got := l.Policies[0].Boost; got != (Setting{0, 8}) {
 		t.Fatalf("A boost = %v", got)
 	}
-	if got := l.Policies[1].Default; !got.Equal(Setting{8, 12}) {
+	if got := l.Policies[1].Default; got != (Setting{8, 12}) {
 		t.Fatalf("B default = %v", got)
 	}
-	if got := l.Policies[1].Boost; !got.Equal(Setting{5, 15}) {
+	if got := l.Policies[1].Boost; got != (Setting{5, 15}) {
 		t.Fatalf("B boost = %v", got)
 	}
 	// Private ways stay disjoint and the shared span is contended by both.
@@ -383,4 +340,99 @@ func TestPlanChainAsymErrors(t *testing.T) {
 	if _, err := PlanChainAsym(10, []int{2, 2}, -1); err == nil {
 		t.Error("negative shared span accepted")
 	}
+}
+
+// Private returns the private ways of policy i within the layout.
+func (l Layout) Private(i int) []int { return l.Policies[i].Private(l.others(i)) }
+
+// Shared returns the contended ways of policy i within the layout.
+func (l Layout) Shared(i int) []int { return l.Policies[i].Shared(l.others(i)) }
+
+// SharerCounts returns, for each policy, how many other policies its
+// boost span overlaps — at most 2 for chain layouts (the §2 conjecture).
+func (l Layout) SharerCounts() []int {
+	out := make([]int, len(l.Policies))
+	for i, p := range l.Policies {
+		out[i] = p.SharerCount(l.others(i))
+	}
+	return out
+}
+
+// Private returns the ways only policy i's settings can touch.
+func (l MaskLayout) Private(i int) []int {
+	mask := l.Policies[i].Default & l.Policies[i].Boost
+	for j, o := range l.Policies {
+		if j != i {
+			mask &^= o.Default | o.Boost
+		}
+	}
+	return maskToWays(mask)
+}
+
+// SharerCounts returns, per policy, the number of other policies whose
+// settings overlap its boost mask — n−1 for a pool layout.
+func (l MaskLayout) SharerCounts() []int {
+	out := make([]int, len(l.Policies))
+	for i, p := range l.Policies {
+		for j, o := range l.Policies {
+			if j != i && p.Boost&(o.Default|o.Boost) != 0 {
+				out[i]++
+			}
+		}
+	}
+	return out
+}
+
+// Contiguous reports whether every mask in the layout is a legal CAT CBM
+// (single run of ones). Pool layouts with n > 1 generally are not.
+func (l MaskLayout) Contiguous() bool {
+	for _, p := range l.Policies {
+		if _, err := FromMask(p.Default); err != nil {
+			return false
+		}
+		if _, err := FromMask(p.Boost); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// FromMask converts a capacity bitmask back into a Setting. It returns an
+// error when the mask is empty or non-contiguous (which real CAT hardware
+// rejects as well).
+func FromMask(mask uint64) (Setting, error) {
+	if mask == 0 {
+		return Setting{}, errors.New("cat: empty capacity bitmask")
+	}
+	off := bits.TrailingZeros64(mask)
+	length := bits.OnesCount64(mask)
+	want := ((uint64(1) << uint(length)) - 1) << uint(off)
+	if mask != want {
+		return Setting{}, fmt.Errorf("cat: non-contiguous capacity bitmask %#x", mask)
+	}
+	return Setting{Offset: off, Length: length}, nil
+}
+
+// Shared computes the ways in p's boost setting that at least one other
+// policy can also touch — the contention surface of short-term allocation.
+func (p STAP) Shared(others []STAP) []int {
+	var union uint64
+	for _, o := range others {
+		union |= o.Default.Mask() | o.Boost.Mask()
+	}
+	return maskToWays(p.Boost.Mask() & union)
+}
+
+// SharerCount returns, for policy p among all policies (p excluded from
+// others), the number of distinct other policies whose settings overlap
+// p's boost span. The paper proves that when every policy reserves private
+// cache, this count is at most 2.
+func (p STAP) SharerCount(others []STAP) int {
+	n := 0
+	for _, o := range others {
+		if p.Boost.Mask()&(o.Default.Mask()|o.Boost.Mask()) != 0 {
+			n++
+		}
+	}
+	return n
 }

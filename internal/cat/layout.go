@@ -15,37 +15,6 @@ type Layout struct {
 	Policies  []STAP
 }
 
-// PlanPair builds the canonical two-workload layout:
-//
-//	[ private A | shared | private B ]
-//
-// privateWays ways of private cache per workload, sharedWays ways of shared
-// cache in the middle. Timeouts are filled in by the caller (they default
-// to 0, i.e. always boosted). An error is returned when the spans do not
-// fit in totalWays.
-func PlanPair(totalWays, privateWays, sharedWays int) (Layout, error) {
-	need := 2*privateWays + sharedWays
-	if privateWays <= 0 || sharedWays < 0 {
-		return Layout{}, fmt.Errorf("cat: bad span sizes private=%d shared=%d", privateWays, sharedWays)
-	}
-	if need > totalWays {
-		return Layout{}, fmt.Errorf("cat: layout needs %d ways, have %d", need, totalWays)
-	}
-	a := STAP{
-		Default: Setting{Offset: 0, Length: privateWays},
-		Boost:   Setting{Offset: 0, Length: privateWays + sharedWays},
-	}
-	b := STAP{
-		Default: Setting{Offset: privateWays + sharedWays, Length: privateWays},
-		Boost:   Setting{Offset: privateWays, Length: privateWays + sharedWays},
-	}
-	l := Layout{TotalWays: totalWays, Policies: []STAP{a, b}}
-	if err := l.Validate(); err != nil {
-		return Layout{}, err
-	}
-	return l, nil
-}
-
 // PlanChain builds a layout for n workloads in a chain, each with its own
 // private span and a shared span between neighbours:
 //
@@ -142,16 +111,6 @@ func PlanChainAsym(totalWays int, privs []int, sharedWays int) (Layout, error) {
 	return l, nil
 }
 
-// SharerCounts returns, for each policy, how many other policies its
-// boost span overlaps — at most 2 for chain layouts (the §2 conjecture).
-func (l Layout) SharerCounts() []int {
-	out := make([]int, len(l.Policies))
-	for i, p := range l.Policies {
-		out[i] = p.SharerCount(l.others(i))
-	}
-	return out
-}
-
 // MaskPolicy is a short-term allocation policy expressed as raw capacity
 // bitmasks rather than contiguous spans. Real Intel CAT rejects
 // non-contiguous CBMs; this type exists for the §2 discussion of
@@ -198,45 +157,6 @@ func PlanPool(totalWays, n, privateWays, poolWays int) (MaskLayout, error) {
 	return l, nil
 }
 
-// Private returns the ways only policy i's settings can touch.
-func (l MaskLayout) Private(i int) []int {
-	mask := l.Policies[i].Default & l.Policies[i].Boost
-	for j, o := range l.Policies {
-		if j != i {
-			mask &^= o.Default | o.Boost
-		}
-	}
-	return maskToWays(mask)
-}
-
-// SharerCounts returns, per policy, the number of other policies whose
-// settings overlap its boost mask — n−1 for a pool layout.
-func (l MaskLayout) SharerCounts() []int {
-	out := make([]int, len(l.Policies))
-	for i, p := range l.Policies {
-		for j, o := range l.Policies {
-			if j != i && p.Boost&(o.Default|o.Boost) != 0 {
-				out[i]++
-			}
-		}
-	}
-	return out
-}
-
-// Contiguous reports whether every mask in the layout is a legal CAT CBM
-// (single run of ones). Pool layouts with n > 1 generally are not.
-func (l MaskLayout) Contiguous() bool {
-	for _, p := range l.Policies {
-		if _, err := FromMask(p.Default); err != nil {
-			return false
-		}
-		if _, err := FromMask(p.Boost); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks every policy and that each workload actually retains
 // private ways (Equation 1 non-empty) under the layout.
 func (l Layout) Validate() error {
@@ -260,25 +180,6 @@ func (l Layout) others(i int) []STAP {
 		if j != i {
 			out = append(out, p)
 		}
-	}
-	return out
-}
-
-// Private returns the private ways of policy i within the layout.
-func (l Layout) Private(i int) []int { return l.Policies[i].Private(l.others(i)) }
-
-// Shared returns the contended ways of policy i within the layout.
-func (l Layout) Shared(i int) []int { return l.Policies[i].Shared(l.others(i)) }
-
-// WithTimeouts returns a copy of the layout with per-policy timeouts
-// installed. It panics when the slice length does not match.
-func (l Layout) WithTimeouts(timeouts []float64) Layout {
-	if len(timeouts) != len(l.Policies) {
-		panic("cat: timeout vector length mismatch")
-	}
-	out := Layout{TotalWays: l.TotalWays, Policies: append([]STAP(nil), l.Policies...)}
-	for i := range out.Policies {
-		out.Policies[i].Timeout = timeouts[i]
 	}
 	return out
 }

@@ -35,7 +35,7 @@ func TestPropertyShiftPreservesContiguity(t *testing.T) {
 				s, k, shifted.Mask(), s.Mask()<<uint(k))
 		}
 		back, err := cat.FromMask(shifted.Mask())
-		if err != nil || !back.Equal(shifted) {
+		if err != nil || back != shifted {
 			t.Fatalf("FromMask(%#x) = %v, %v; want %v", shifted.Mask(), back, err, shifted)
 		}
 	}

@@ -57,24 +57,6 @@ func TrainTreeResponse(ds profile.Dataset, rng *stats.RNG) (ResponseModel, error
 	return treeModel{tr}, nil
 }
 
-type forestModel struct{ f *forest.Forest }
-
-func (f forestModel) Name() string                       { return "random forest" }
-func (f forestModel) Predict(features []float64) float64 { return f.f.Predict(features) }
-
-// TrainForestResponse fits a plain random forest on response time — the
-// "simple ML" competitor.
-func TrainForestResponse(ds profile.Dataset, trees int, rng *stats.RNG) (ResponseModel, error) {
-	cfg := forest.RandomForest(trees)
-	cfg.Tree.ThresholdSamples = 8
-	cfg.Tree.MaxDepth = 14
-	f, err := forest.Train(ds.Features(), ds.MeanResponses(), cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	return forestModel{f}, nil
-}
-
 // TrainForestEA fits a plain random forest on *effective allocation* —
 // the simple-ML variant of the full pipeline used by Figure 8e (same
 // queueing stage, shallower learner).
@@ -162,16 +144,10 @@ func QueueOnlyPredict(s Scenario) (Prediction, error) {
 // profile observed under the test condition (§5: "our modeling approach
 // could not use an observed profile from the runtime condition...
 // We also compare our approach to competing modeling approaches using
-// the same methodology").
-func EvaluateResponseModel(m ResponseModel, library, test profile.Dataset, servers int) ([]float64, error) {
-	return EvaluateResponseModelParallel(m, library, test, servers, 1)
-}
-
-// EvaluateResponseModelParallel is EvaluateResponseModel with rows
-// distributed over up to workers goroutines (0 = GOMAXPROCS). Each
-// row's error lands in its own slot, so the result is identical at any
-// worker count.
-func EvaluateResponseModelParallel(m ResponseModel, library, test profile.Dataset, servers, workers int) ([]float64, error) {
+// the same methodology"). Rows are distributed over up to workers
+// goroutines (0 = GOMAXPROCS); each row's error lands in its own slot,
+// so the result is identical at any worker count.
+func EvaluateResponseModel(m ResponseModel, library, test profile.Dataset, servers, workers int) ([]float64, error) {
 	builder, err := NewInputBuilder(library)
 	if err != nil {
 		return nil, err
@@ -194,17 +170,12 @@ func EvaluateResponseModelParallel(m ResponseModel, library, test profile.Datase
 
 // EvaluatePredictor computes per-row absolute percentage errors of the
 // full pipeline on held-out rows, reconstructing each row's scenario and
-// predicting without its observed profile.
-func EvaluatePredictor(p *Predictor, test profile.Dataset, servers int) ([]float64, error) {
-	return EvaluatePredictorParallel(p, test, servers, 1)
-}
-
-// EvaluatePredictorParallel is EvaluatePredictor with rows distributed
-// over up to workers goroutines (0 = GOMAXPROCS). A constructed
-// Predictor is immutable, so concurrent PredictResponse calls are safe;
-// per-row errors land in index-addressed slots and the result is
-// identical at any worker count.
-func EvaluatePredictorParallel(p *Predictor, test profile.Dataset, servers, workers int) ([]float64, error) {
+// predicting without its observed profile. Rows are distributed over up
+// to workers goroutines (0 = GOMAXPROCS). A constructed Predictor is
+// immutable, so concurrent PredictResponse calls are safe; per-row errors
+// land in index-addressed slots and the result is identical at any worker
+// count.
+func EvaluatePredictor(p *Predictor, test profile.Dataset, servers, workers int) ([]float64, error) {
 	errs := make([]float64, test.Len())
 	err := par.ForEach(workers, test.Len(), func(i int) error {
 		pred, err := p.PredictResponse(ScenarioFromRow(test.Rows[i], servers))
@@ -221,15 +192,9 @@ func EvaluatePredictorParallel(p *Predictor, test profile.Dataset, servers, work
 }
 
 // EvaluateQueueOnly computes per-row errors for the queueing-only
-// baseline.
-func EvaluateQueueOnly(test profile.Dataset, servers int) ([]float64, error) {
-	return EvaluateQueueOnlyParallel(test, servers, 1)
-}
-
-// EvaluateQueueOnlyParallel is EvaluateQueueOnly over up to workers
-// goroutines (0 = GOMAXPROCS); results are identical at any worker
-// count.
-func EvaluateQueueOnlyParallel(test profile.Dataset, servers, workers int) ([]float64, error) {
+// baseline over up to workers goroutines (0 = GOMAXPROCS); results are
+// identical at any worker count.
+func EvaluateQueueOnly(test profile.Dataset, servers, workers int) ([]float64, error) {
 	errs := make([]float64, test.Len())
 	err := par.ForEach(workers, test.Len(), func(i int) error {
 		pred, err := QueueOnlyPredict(ScenarioFromRow(test.Rows[i], servers))

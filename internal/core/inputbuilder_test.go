@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -157,7 +156,7 @@ func TestPredictWithEAConsistency(t *testing.T) {
 	// With timeout 0 every query is boosted: aggregate service time must
 	// approach ExpService/(eaPolicy·R).
 	eaPolicy, eaNever := 0.8, 0.5
-	pred, res, err := PredictWithEA(s, eaPolicy, eaNever, 20000)
+	pred, err := PredictWithEA(s, eaPolicy, eaNever, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,6 @@ func TestPredictWithEAConsistency(t *testing.T) {
 	if gotAgg < wantAgg*0.93 || gotAgg > wantAgg*1.07 {
 		t.Fatalf("aggregate service time %v, want ~%v", gotAgg, wantAgg)
 	}
-	_ = res
 }
 
 func TestPredictWithEANeverBoost(t *testing.T) {
@@ -179,7 +177,7 @@ func TestPredictWithEANeverBoost(t *testing.T) {
 		SamplePeriodRel: 1, ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
 	}
 	eaNever := 0.45
-	pred, _, err := PredictWithEA(s, eaNever, eaNever, 20000)
+	pred, err := PredictWithEA(s, eaNever, eaNever, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,31 +188,6 @@ func TestPredictWithEANeverBoost(t *testing.T) {
 	gotAgg := pred.MeanResponse - pred.QueueDelay
 	if gotAgg < wantAgg*0.93 || gotAgg > wantAgg*1.07 {
 		t.Fatalf("never-boost aggregate %v, want ~%v", gotAgg, wantAgg)
-	}
-}
-
-// TestPredictWithEAOwnsResult pins that the exported PredictWithEA hands
-// back slices of its own, not the pooled simulator's buffers: a later
-// prediction must not overwrite an earlier Result.
-func TestPredictWithEAOwnsResult(t *testing.T) {
-	s := Scenario{
-		Service: "redis", Load: 0.7, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2,
-		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
-		ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
-	}
-	_, first, err := PredictWithEA(s, 0.7, 0.5, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := first.Clone()
-	s.Load, s.Timeout = 0.4, 0
-	for i := 0; i < 3; i++ {
-		if _, _, err := PredictWithEA(s, 0.9, 0.6, 2000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(first, kept) {
-		t.Fatal("a later PredictWithEA overwrote an earlier Result")
 	}
 }
 
@@ -237,7 +210,7 @@ func TestPooledSimulatorsConcurrent(t *testing.T) {
 		}
 	}
 	predict := func(s Scenario) (out, error) {
-		ea, _, err := PredictWithEA(s, 0.8, 0.5, 1500)
+		ea, err := PredictWithEA(s, 0.8, 0.5, 1500)
 		if err != nil {
 			return out{}, err
 		}

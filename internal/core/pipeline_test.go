@@ -50,7 +50,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	test = test.AggregateByCondition()
 	p := trainPredictor(t, train, 9)
 
-	errs, err := EvaluatePredictor(p, test, 2)
+	errs, err := EvaluatePredictor(p, test, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linErrs, err := EvaluateResponseModel(lin, train, test, 2)
+	linErrs, err := EvaluateResponseModel(lin, train, test, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

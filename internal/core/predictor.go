@@ -87,17 +87,17 @@ func (s Scenario) Validate() error {
 // ScenarioFromRow reconstructs the scenario a profile row was measured
 // under — used when evaluating prediction accuracy on held-out rows.
 func ScenarioFromRow(r profile.Row, servers int) Scenario {
-	f := r.Features
+	st := profile.StaticOf(r.Features)
 	return Scenario{
 		Service:         r.Service,
-		Load:            f[0],
-		Timeout:         f[1],
-		PartnerLoad:     f[2],
-		PartnerTimeout:  f[3],
-		PrivateWays:     int(f[4]),
-		SharedWays:      int(f[5]),
-		BoostRatio:      f[6],
-		SamplePeriodRel: f[7],
+		Load:            st.Load,
+		Timeout:         st.Timeout,
+		PartnerLoad:     st.PartnerLoad,
+		PartnerTimeout:  st.PartnerTimeout,
+		PrivateWays:     st.PrivateWays,
+		SharedWays:      st.SharedWays,
+		BoostRatio:      st.BoostRatio,
+		SamplePeriodRel: st.SamplePeriodRel,
 		ExpService:      r.ExpService,
 		ServiceCV:       r.STCV,
 		Servers:         servers,
@@ -323,13 +323,8 @@ func TrainDeepForestEA(ds profile.Dataset, cfg deepforest.Config, rng *stats.RNG
 	return deepforest.Train(ds.Features(), ds.Targets(), cfg, rng)
 }
 
-// PredictEA predicts effective cache allocation for a scenario using the
-// given dynamic-feature estimate.
-func (p *Predictor) PredictEA(s Scenario, dynamic []float64) (float64, error) {
-	return p.predictEA(s, p.builder.neighbourhood(s), dynamic)
-}
-
-// predictEA is PredictEA with the scenario's neighbourhood already found.
+// predictEA predicts effective cache allocation for a scenario whose
+// neighbourhood nb is already found, given a dynamic-feature estimate.
 func (p *Predictor) predictEA(s Scenario, nb neighbourhood, dynamic []float64) (float64, error) {
 	input, err := p.builder.build(s, nb, dynamic)
 	if err != nil {
@@ -435,13 +430,11 @@ var simulators = sync.Pool{New: func() any { return queueing.NewSimulator() }}
 // *calibrated by bisection* so the simulated aggregate matches the first
 // — a fixed multiplier would only match when every query boosts, biasing
 // mid-timeout policies.
-//
-// The returned Result owns its slices.
-func PredictWithEA(s Scenario, eaPolicy, eaNever float64, simQueries int) (Prediction, queueing.Result, error) {
+func PredictWithEA(s Scenario, eaPolicy, eaNever float64, simQueries int) (Prediction, error) {
 	sim := simulators.Get().(*queueing.Simulator)
 	defer simulators.Put(sim)
-	pred, res, err := predictWithEA(sim, s, eaPolicy, eaNever, simQueries)
-	return pred, res.Clone(), err
+	pred, _, err := predictWithEA(sim, s, eaPolicy, eaNever, simQueries)
+	return pred, err
 }
 
 // predictWithEA is PredictWithEA on a caller's simulator; the Result
@@ -528,24 +521,17 @@ func clampRate(v, lo, hi float64) float64 {
 }
 
 // staticVector returns the scenario's static features in schema order.
-func (s Scenario) staticVector() []float64 {
-	return []float64{
-		s.Load,
-		capTimeout(s.Timeout),
-		s.PartnerLoad,
-		capTimeout(s.PartnerTimeout),
-		float64(s.PrivateWays),
-		float64(s.SharedWays),
-		s.BoostRatio,
-		s.SamplePeriodRel,
-	}
-}
-
-func capTimeout(t float64) float64 {
-	if math.IsInf(t, 1) || t > profile.TimeoutCap {
-		return profile.TimeoutCap
-	}
-	return t
+func (s Scenario) staticVector() [profile.NumStatic]float64 {
+	return profile.Static{
+		Load:            s.Load,
+		Timeout:         s.Timeout,
+		PartnerLoad:     s.PartnerLoad,
+		PartnerTimeout:  s.PartnerTimeout,
+		PrivateWays:     s.PrivateWays,
+		SharedWays:      s.SharedWays,
+		BoostRatio:      s.BoostRatio,
+		SamplePeriodRel: s.SamplePeriodRel,
+	}.Vector()
 }
 
 // InputBuilder reconstructs model inputs for unseen runtime conditions
@@ -589,16 +575,10 @@ func (b *InputBuilder) neighbourhood(s Scenario) neighbourhood {
 // nearest rows (normalised to sum to 1).
 func (b *InputBuilder) neighbourWeights(s Scenario, nn []int) []float64 {
 	static := s.staticVector()
-	scales := []float64{0.7, profile.TimeoutCap, 0.7, profile.TimeoutCap}
 	w := make([]float64, len(nn))
 	total := 0.0
 	for i, idx := range nn {
-		d := 0.0
-		for j := 0; j < 4; j++ {
-			dd := (b.library.Rows[idx].Features[j] - static[j]) / scales[j]
-			d += dd * dd
-		}
-		w[i] = 1 / (0.02 + d)
+		w[i] = 1 / (0.02 + sweptDistance(b.library.Rows[idx].Features, &static))
 		total += w[i]
 	}
 	for i := range w {
@@ -677,7 +657,8 @@ func (b *InputBuilder) build(s Scenario, nb neighbourhood, dynamic []float64) ([
 	}
 
 	input := make([]float64, 0, b.schema.NumFeatures())
-	input = append(input, s.staticVector()...)
+	static := s.staticVector()
+	input = append(input, static[:]...)
 	input = append(input, dynamic...)
 	input = append(input, matrix...)
 	return input, nil
@@ -687,9 +668,6 @@ func (b *InputBuilder) build(s Scenario, nb neighbourhood, dynamic []float64) ([
 // scenario in static-condition space, preferring rows of the same service.
 func (b *InputBuilder) nearest(s Scenario, k int) []int {
 	static := s.staticVector()
-	// Normalisation scales for [load, timeout, partner load, partner
-	// timeout] — the dimensions the profiler sweeps.
-	scales := []float64{0.7, profile.TimeoutCap, 0.7, profile.TimeoutCap}
 	type cand struct {
 		idx  int
 		dist float64
@@ -700,12 +678,7 @@ func (b *InputBuilder) nearest(s Scenario, k int) []int {
 			if pass == 0 && r.Service != s.Service {
 				continue
 			}
-			d := 0.0
-			for j := 0; j < 4; j++ {
-				dd := (r.Features[j] - static[j]) / scales[j]
-				d += dd * dd
-			}
-			cands = append(cands, cand{i, d})
+			cands = append(cands, cand{i, sweptDistance(r.Features, &static)})
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
@@ -717,4 +690,26 @@ func (b *InputBuilder) nearest(s Scenario, k int) []int {
 		out[i] = cands[i].idx
 	}
 	return out
+}
+
+// sweptScales normalise the dimensions the profiler sweeps — load,
+// timeout, partner load and partner timeout, the first four static
+// features — for neighbour distances.
+var sweptScales = [...]float64{
+	profile.FeatLoad:           0.7,
+	profile.FeatTimeout:        profile.TimeoutCap,
+	profile.FeatPartnerLoad:    0.7,
+	profile.FeatPartnerTimeout: profile.TimeoutCap,
+}
+
+// sweptDistance is the squared normalised distance between a library
+// row's features and a scenario's static features over the swept
+// dimensions.
+func sweptDistance(features []float64, static *[profile.NumStatic]float64) float64 {
+	d := 0.0
+	for j, scale := range sweptScales {
+		dd := (features[j] - static[j]) / scale
+		d += dd * dd
+	}
+	return d
 }

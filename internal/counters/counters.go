@@ -7,13 +7,7 @@
 // correlated counters next to each other.
 package counters
 
-import (
-	"encoding/csv"
-	"io"
-	"strconv"
-
-	"stac/internal/stats"
-)
+import "stac/internal/stats"
 
 // Counter identifies one architectural performance counter.
 type Counter int
@@ -107,15 +101,6 @@ func (t Trace) Aggregate() Sample {
 	return out
 }
 
-// Pad extends (with zero samples) or truncates the trace to exactly n
-// samples, per §3.1: "We fill zero values to pad traces and ensure
-// profiles are equally sized."
-func (t Trace) Pad(n int) Trace {
-	out := make(Trace, n)
-	copy(out, t)
-	return out
-}
-
 // SpatialOrder returns the counter indices in their spatially local order
 // (the declaration order above — correlated counters adjacent).
 func SpatialOrder() []int {
@@ -134,38 +119,4 @@ func ShuffledOrder(seed uint64) []int {
 	r := stats.NewRNG(seed)
 	r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	return idx
-}
-
-// Reorder returns a copy of the sample with counters permuted by order
-// (order[i] gives the source index for output position i).
-func (s Sample) Reorder(order []int) Sample {
-	var out Sample
-	for i, src := range order {
-		out[i] = s[src]
-	}
-	return out
-}
-
-// WriteCSV renders the trace as CSV with a header of counter names — a
-// convenience for exporting profiles to external analysis tools.
-func (t Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, NumCounters)
-	for i := range header {
-		header[i] = Counter(i).String()
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, NumCounters)
-	for _, s := range t {
-		for i, v := range s {
-			row[i] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,10 +1,6 @@
 package counters
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestNumCounters(t *testing.T) {
 	if NumCounters != 29 {
@@ -57,23 +53,6 @@ func TestTraceAggregate(t *testing.T) {
 	}
 }
 
-func TestTracePad(t *testing.T) {
-	var s Sample
-	s[Cycles] = 7
-	tr := Trace{s}
-	padded := tr.Pad(3)
-	if len(padded) != 3 {
-		t.Fatalf("padded length %d, want 3", len(padded))
-	}
-	if padded[0][Cycles] != 7 || padded[1][Cycles] != 0 || padded[2][Cycles] != 0 {
-		t.Fatal("padding wrong")
-	}
-	truncated := Trace{s, s, s}.Pad(2)
-	if len(truncated) != 2 {
-		t.Fatalf("truncated length %d, want 2", len(truncated))
-	}
-}
-
 func TestShuffledOrderIsPermutation(t *testing.T) {
 	order := ShuffledOrder(42)
 	if len(order) != NumCounters {
@@ -103,44 +82,5 @@ func TestShuffledOrderIsPermutation(t *testing.T) {
 	}
 	if sameAsOther {
 		t.Fatal("ShuffledOrder identical across seeds")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var s Sample
-	s[L1DLoads] = 1.5
-	s[Cycles] = 100
-	var buf bytes.Buffer
-	if err := (Trace{s, s}).WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 rows", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "l1d.loads,") {
-		t.Fatalf("header wrong: %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "1.5,") {
-		t.Fatalf("row wrong: %q", lines[1])
-	}
-}
-
-func TestReorderRoundTrip(t *testing.T) {
-	var s Sample
-	for i := range s {
-		s[i] = float64(i)
-	}
-	order := ShuffledOrder(7)
-	shuffled := s.Reorder(order)
-	// Invert.
-	inv := make([]int, NumCounters)
-	for i, src := range order {
-		inv[src] = i
-	}
-	back := shuffled.Reorder(inv)
-	if back != s {
-		t.Fatal("reorder round trip failed")
 	}
 }

@@ -71,13 +71,13 @@ func Fig6(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		es, err := core.EvaluatePredictorParallel(p, ourTest, 2, opts.Workers)
+		es, err := core.EvaluatePredictor(p, ourTest, 2, opts.Workers)
 		if err != nil {
 			return err
 		}
 		perPair[pi].oursErrs = es
 
-		qs, err := core.EvaluateQueueOnlyParallel(ourTest, 2, opts.Workers)
+		qs, err := core.EvaluateQueueOnly(ourTest, 2, opts.Workers)
 		if err != nil {
 			return err
 		}
@@ -110,7 +110,7 @@ func Fig6(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	linErrs, err := core.EvaluateResponseModelParallel(lin, pooledTrain, pooledTest, 2, opts.Workers)
+	linErrs, err := core.EvaluateResponseModel(lin, pooledTrain, pooledTest, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func Fig6(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	treeErrs, err := core.EvaluateResponseModelParallel(tree, pooledTrain, pooledTest, 2, opts.Workers)
+	treeErrs, err := core.EvaluateResponseModel(tree, pooledTrain, pooledTest, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func Fig6(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cnnErrs, err := core.EvaluateResponseModelParallel(cnn, pooledTrain, pooledTest, 2, opts.Workers)
+	cnnErrs, err := core.EvaluateResponseModel(cnn, pooledTrain, pooledTest, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

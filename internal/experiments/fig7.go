@@ -70,7 +70,7 @@ func Fig7a(opts Options) (*Report, error) {
 			if sub.Len() == 0 {
 				continue
 			}
-			errs, err := core.EvaluatePredictorParallel(p, sub, 2, opts.Workers)
+			errs, err := core.EvaluatePredictor(p, sub, 2, opts.Workers)
 			if err != nil {
 				return err
 			}
@@ -181,7 +181,7 @@ func Fig7b(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		errs, err := core.EvaluatePredictorParallel(p, test, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
 		if err != nil {
 			return err
 		}
@@ -238,7 +238,7 @@ func Fig7c(opts Options) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		errs, err := core.EvaluatePredictorParallel(p, test, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
 		if err != nil {
 			return 0, err
 		}

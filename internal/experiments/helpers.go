@@ -111,7 +111,7 @@ func collectPair(p pairSpec, nPoints, queries int, samplePeriod float64, seed ui
 		if nSeeds < 4 {
 			nSeeds = 4
 		}
-		pts := profile.StratifiedPointsParallel(nPoints, nSeeds, 4, func(pt profile.Point) float64 {
+		pts := profile.StratifiedPoints(nPoints, nSeeds, 4, func(pt profile.Point) float64 {
 			return profile.EvalEA(opts, pt)
 		}, rng, workers)
 		return profile.Collect(opts, pts)
@@ -137,7 +137,7 @@ func collectPairHighLoad(p pairSpec, nPoints, queries int, seed uint64, workers 
 			Workers:           workers,
 		}
 		rng := stats.NewRNG(seed)
-		broad := profile.StratifiedPointsParallel(nPoints/2, nPoints/6+2, 4, func(pt profile.Point) float64 {
+		broad := profile.StratifiedPoints(nPoints/2, nPoints/6+2, 4, func(pt profile.Point) float64 {
 			return profile.EvalEA(opts, pt)
 		}, rng, workers)
 		focused := profile.UniformPoints(nPoints-len(broad), rng)

@@ -6,6 +6,7 @@ import (
 
 	"stac/internal/cluster"
 	"stac/internal/counters"
+	"stac/internal/profile"
 	"stac/internal/stats"
 )
 
@@ -57,7 +58,7 @@ func Insight(opts Options) (*Report, error) {
 		counterPts[i] = agg
 		// The interaction the paper highlights: arrival rate × timeout
 		// (relative to service time) shapes when boosts trigger.
-		score[i] = r.Features[0] * r.Features[1]
+		score[i] = r.Features[profile.FeatLoad] * r.Features[profile.FeatTimeout]
 	}
 	normalise(conceptPts)
 	normalise(counterPts)

@@ -56,7 +56,7 @@ func Overhead(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		errs, err := core.EvaluatePredictorParallel(p, test, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
 		if err != nil {
 			return err
 		}
@@ -105,7 +105,7 @@ func Sampling(opts Options) (*Report, error) {
 
 	budget := nPoints / 2
 	uniformPts := profile.UniformPoints(budget, stats.NewRNG(seed+3))
-	stratPts := profile.StratifiedPointsParallel(budget, budget/3, 4, func(pt profile.Point) float64 {
+	stratPts := profile.StratifiedPoints(budget, budget/3, 4, func(pt profile.Point) float64 {
 		return profile.EvalEA(copts, pt)
 	}, stats.NewRNG(seed+4), opts.Workers)
 
@@ -129,7 +129,7 @@ func Sampling(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		errs, err := core.EvaluatePredictorParallel(p, testDS, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, testDS, 2, opts.Workers)
 		if err != nil {
 			return err
 		}

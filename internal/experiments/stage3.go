@@ -37,18 +37,18 @@ func Stage3Ablation(opts Options) (*Report, error) {
 
 	// The full evaluation must finish before ClearCorrections strips the
 	// stacking stage — the predictor is immutable only between mutations.
-	full, err := core.EvaluatePredictorParallel(p, test, 2, opts.Workers)
+	full, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 
 	p.ClearCorrections()
-	noCorr, err := core.EvaluatePredictorParallel(p, test, 2, opts.Workers)
+	noCorr, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 
-	queueOnly, err := core.EvaluateQueueOnlyParallel(test, 2, opts.Workers)
+	queueOnly, err := core.EvaluateQueueOnly(test, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rfErrs, err := core.EvaluatePredictorParallel(rfPred, test, 2, opts.Workers)
+	rfErrs, err := core.EvaluatePredictor(rfPred, test, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gbErrs, err := core.EvaluatePredictorParallel(gbPred, test, 2, opts.Workers)
+	gbErrs, err := core.EvaluatePredictor(gbPred, test, 2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +86,7 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	if err := par.ForEach(opts.Workers, test.Len(), func(i int) error {
 		r := test.Rows[i]
 		s := core.ScenarioFromRow(r, 2)
-		pred, _, err := core.PredictWithEA(s, r.EA, nearestNeverEA(test, r), 8000)
+		pred, err := core.PredictWithEA(s, r.EA, nearestNeverEA(test, r), 8000)
 		if err != nil {
 			return err
 		}
@@ -121,10 +121,10 @@ func nearestNeverEA(ds profile.Dataset, row profile.Row) float64 {
 	best := row.EA
 	bestD := math.Inf(1)
 	for _, r := range ds.Rows {
-		if r.Service != row.Service || r.Features[1] < profile.TimeoutCap-1 {
+		if r.Service != row.Service || r.Features[profile.FeatTimeout] < profile.TimeoutCap-1 {
 			continue
 		}
-		d := math.Abs(r.Features[0] - row.Features[0])
+		d := math.Abs(r.Features[profile.FeatLoad] - row.Features[profile.FeatLoad])
 		if d < bestD {
 			bestD = d
 			best = r.EA

@@ -126,9 +126,6 @@ type Config struct {
 	// slowest-arriving service receives about this many queries at rate
 	// multiplier 1 (default 60; negative is rejected).
 	EpochQueries int
-	// EpochLen overrides the derived epoch length (simulated seconds;
-	// 0 derives it from EpochQueries, negative is rejected).
-	EpochLen float64
 	// Migrate enables the model-driven migrator.
 	Migrate bool
 	// ColdPenalty inflates a migrated service's per-query demand on its
@@ -288,9 +285,6 @@ func (c Config) Validate() error {
 	}
 	if c.EpochQueries < 0 {
 		return configErr("EpochQueries", "negative epoch queries %d", c.EpochQueries)
-	}
-	if !(c.EpochLen >= 0) || math.IsInf(c.EpochLen, 1) {
-		return configErr("EpochLen", "epoch length %v not a finite non-negative time", c.EpochLen)
 	}
 	if c.DrainNode != "" {
 		if !names[c.DrainNode] {

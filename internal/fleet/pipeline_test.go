@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -78,9 +77,6 @@ func TestConfigRejectsInertSettings(t *testing.T) {
 		{"DrainEpoch", func(c *Config) { c.DrainEpoch = c.Epochs }},
 		{"DrainEpoch", func(c *Config) { c.DrainEpoch = -1 }},
 		{"EpochQueries", func(c *Config) { c.EpochQueries = -5 }},
-		{"EpochLen", func(c *Config) { c.EpochLen = -0.1 }},
-		{"EpochLen", func(c *Config) { c.EpochLen = math.NaN() }},
-		{"EpochLen", func(c *Config) { c.EpochLen = math.Inf(1) }},
 		{"Nodes", func(c *Config) {
 			for len(c.Nodes) <= maxTagged {
 				c.Nodes = append(c.Nodes, c.Nodes[2])

@@ -88,26 +88,6 @@ func (r *Result) Migration(service string) []MigrationEvent {
 	return out
 }
 
-// Node returns the named node's result, or nil.
-func (r *Result) Node(name string) *NodeResult {
-	for i := range r.Nodes {
-		if r.Nodes[i].Name == name {
-			return &r.Nodes[i]
-		}
-	}
-	return nil
-}
-
-// Service returns the named service's result, or nil.
-func (r *Result) Service(name string) *ServiceResult {
-	for i := range r.Services {
-		if r.Services[i].Name == name {
-			return &r.Services[i]
-		}
-	}
-	return nil
-}
-
 func p95OrZero(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

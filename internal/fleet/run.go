@@ -172,12 +172,9 @@ func newState(cfg Config) (*state, error) {
 		}
 		st.rate[i] = s.Load * float64(cores) / st.expRef[i]
 	}
-	st.epochLen = cfg.EpochLen
-	if st.epochLen == 0 {
-		for i := range cfg.Services {
-			if l := float64(cfg.EpochQueries) / st.rate[i]; l > st.epochLen {
-				st.epochLen = l
-			}
+	for i := range cfg.Services {
+		if l := float64(cfg.EpochQueries) / st.rate[i]; l > st.epochLen {
+			st.epochLen = l
 		}
 	}
 	return st, nil

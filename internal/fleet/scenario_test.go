@@ -162,18 +162,10 @@ func TestScenarioByName(t *testing.T) {
 }
 
 // TestSplitMergeRoundTrip pins the router as a lossless splitter: a
-// query sequence generated from a trace-derived kernel, split across
-// three nodes by every routing policy, re-merges (by arrival, then id)
-// into exactly the original sequence — no query lost, duplicated,
-// reordered or mutated.
+// query sequence split across three nodes by every routing policy
+// re-merges (by arrival, then id) into exactly the original sequence —
+// no query lost, duplicated, reordered or mutated.
 func TestSplitMergeRoundTrip(t *testing.T) {
-	trace := "R 0x1000\nW 0x1040\nR 0x1080\nR 0x10c0\nW 0x1100\n"
-	replay, err := workload.ReadTrace(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kernel := workload.KernelFromTrace("traced", replay, 3000, 8)
-
 	rng := stats.NewRNG(42)
 	orig := make([]workload.Query, 400)
 	tm := 0.0
@@ -185,7 +177,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 	cfg := Config{
 		Nodes: threeNodes(),
 		Services: []ServiceSpec{
-			{Kernel: kernel, Load: 0.5, Replicas: 3},
+			{Kernel: workload.Redis(), Load: 0.5, Replicas: 3},
 		},
 	}.Defaults()
 	for _, policy := range Policies() {
@@ -242,4 +234,14 @@ func mergeByArrival(parts [][]workload.Query) []workload.Query {
 func withWorkers(cfg Config, w int) Config {
 	cfg.Workers = w
 	return cfg
+}
+
+// Service returns the named service's result, or nil.
+func (r *Result) Service(name string) *ServiceResult {
+	for i := range r.Services {
+		if r.Services[i].Name == name {
+			return &r.Services[i]
+		}
+	}
+	return nil
 }

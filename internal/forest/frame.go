@@ -46,15 +46,6 @@ func NewEmptyFrame(n, d int) *Frame {
 	return &Frame{n: n, d: d, cols: make([]float64, n*d)}
 }
 
-// NumRows returns the row count.
-func (fr *Frame) NumRows() int { return fr.n }
-
-// NumFeatures returns the feature count.
-func (fr *Frame) NumFeatures() int { return fr.d }
-
-// Col returns feature j's column, one value per row.
-func (fr *Frame) Col(j int) []float64 { return fr.cols[j*fr.n : (j+1)*fr.n] }
-
 // SetRow scatters one row of features into the columns.
 func (fr *Frame) SetRow(i int, row []float64) {
 	for j, v := range row {

@@ -64,9 +64,6 @@ type Model struct {
 	trees []*forest.Tree
 }
 
-// NumTrees returns the boosting-round count of the fitted model.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
 // Train fits the ensemble.
 func Train(x [][]float64, y []float64, cfg Config, rng *stats.RNG) (*Model, error) {
 	if len(x) == 0 || len(x) != len(y) {

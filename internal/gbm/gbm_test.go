@@ -137,7 +137,7 @@ func TestGBMNumTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumTrees() != 25 {
-		t.Fatalf("NumTrees = %d, want 25", m.NumTrees())
+	if len(m.trees) != 25 {
+		t.Fatalf("trained %d boosting rounds, want 25", len(m.trees))
 	}
 }

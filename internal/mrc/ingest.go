@@ -33,14 +33,3 @@ func KernelCurve(k workload.Kernel, lineSize, accesses int, seed uint64) (*Curve
 	IngestPattern(a, k.NewPattern(0), accesses, seed)
 	return a.Curve(), nil
 }
-
-// SampledKernelCurve computes the SHARDS estimate of a kernel's curve
-// over the same stream KernelCurve would analyze exactly.
-func SampledKernelCurve(k workload.Kernel, cfg SamplerConfig, accesses int, seed uint64) (*SampledCurve, error) {
-	a, err := NewSampled(cfg)
-	if err != nil {
-		return nil, err
-	}
-	IngestPattern(a, k.NewPattern(0), accesses, seed)
-	return a.Curve(), nil
-}

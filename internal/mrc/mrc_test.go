@@ -89,7 +89,8 @@ func TestMatchesFullyAssociativeLRUCache(t *testing.T) {
 		for _, addr := range trace {
 			c.Access(0, addr, false)
 		}
-		sim := c.Stats(0).MissRatio()
+		st := c.Stats(0)
+		sim := float64(st.Misses) / float64(st.Accesses())
 		analytic := curve.MissRatio(capacity)
 		if math.Abs(sim-analytic) > 1e-12 {
 			t.Fatalf("capacity %d: simulated %v != analytic %v", capacity, sim, analytic)

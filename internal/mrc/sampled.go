@@ -16,14 +16,8 @@ type SamplerConfig struct {
 	// LineSize is the cache line size in bytes (power of two).
 	LineSize int
 	// Rate is the spatial sampling rate in (0, 1]: the fraction of cache
-	// lines whose accesses are tracked. In fixed-size mode it is the
-	// *initial* rate. Defaults to 0.1.
+	// lines whose accesses are tracked. Defaults to 0.1.
 	Rate float64
-	// MaxTracked, when positive, enables SHARDS's fixed-size mode
-	// (s_max): whenever more than MaxTracked lines are tracked, the
-	// sampling threshold is lowered and the highest-hash lines are
-	// evicted, bounding memory regardless of trace footprint.
-	MaxTracked int
 	// Seed perturbs the sampling hash so independent samples of the same
 	// trace can be drawn. Zero is a valid (and deterministic) seed.
 	Seed uint64
@@ -105,14 +99,6 @@ func (c *SampledCurve) At(capacities []int) []float64 {
 	return out
 }
 
-// hashEntry pairs a tracked line with its (constant) sampling hash, kept
-// in a max-heap so fixed-size mode can evict the highest-hash lines when
-// the threshold drops.
-type hashEntry struct {
-	hmod uint32
-	line uint64
-}
-
 // SampledAnalyzer approximates the exact stack-distance curve with SHARDS
 // spatial sampling: only lines whose hash falls under a threshold are
 // tracked, and measured distances are rescaled by the inverse sampling
@@ -122,10 +108,9 @@ type hashEntry struct {
 type SampledAnalyzer struct {
 	cfg       SamplerConfig
 	lineShift uint
-	threshold uint64 // current T: sample iff hash mod P < T
+	threshold uint64 // T: sample iff hash mod P < T
 
 	last map[uint64]int // sampled line -> timestamp of last access
-	heap []hashEntry    // max-heap over hmod of tracked lines
 	tree []uint64       // Fenwick tree over sampled timestamps
 	time int
 
@@ -142,9 +127,6 @@ func NewSampled(cfg SamplerConfig) (*SampledAnalyzer, error) {
 	if cfg.Rate <= 0 || cfg.Rate > 1 {
 		return nil, fmt.Errorf("mrc: sampling rate %v outside (0, 1]", cfg.Rate)
 	}
-	if cfg.MaxTracked < 0 {
-		return nil, fmt.Errorf("mrc: negative MaxTracked %d", cfg.MaxTracked)
-	}
 	t := uint64(math.Round(cfg.Rate * shardsModulus))
 	if t == 0 {
 		t = 1
@@ -158,29 +140,13 @@ func NewSampled(cfg SamplerConfig) (*SampledAnalyzer, error) {
 	}, nil
 }
 
-// Rate returns the current effective sampling rate T/P (fixed-size mode
-// lowers it as the trace's footprint grows).
-func (s *SampledAnalyzer) Rate() float64 {
-	return float64(s.threshold) / shardsModulus
-}
-
-// Tracked returns the number of lines currently being tracked.
-func (s *SampledAnalyzer) Tracked() int { return len(s.last) }
-
-// Reset returns the analyzer to its initial state (including the initial
-// sampling threshold) while retaining allocated storage, mirroring
-// Analyzer.Reset.
+// Reset returns the analyzer to its initial state while retaining
+// allocated storage, mirroring Analyzer.Reset.
 func (s *SampledAnalyzer) Reset() {
 	clear(s.last)
-	s.heap = s.heap[:0]
 	s.tree = s.tree[:1]
 	s.tree[0] = 0
 	s.time = 0
-	t := uint64(math.Round(s.cfg.Rate * shardsModulus))
-	if t == 0 {
-		t = 1
-	}
-	s.threshold = t
 	s.curve = SampledCurve{Hist: s.curve.Hist[:0]}
 }
 
@@ -210,74 +176,16 @@ func (s *SampledAnalyzer) sum(i int) uint64 {
 	return v
 }
 
-// heap operations: a plain binary max-heap keyed on hmod.
-func (s *SampledAnalyzer) heapPush(e hashEntry) {
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s.heap[p].hmod >= s.heap[i].hmod {
-			break
-		}
-		s.heap[p], s.heap[i] = s.heap[i], s.heap[p]
-		i = p
-	}
-}
-
-func (s *SampledAnalyzer) heapPop() hashEntry {
-	top := s.heap[0]
-	n := len(s.heap) - 1
-	s.heap[0] = s.heap[n]
-	s.heap = s.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && s.heap[l].hmod > s.heap[big].hmod {
-			big = l
-		}
-		if r < n && s.heap[r].hmod > s.heap[big].hmod {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		s.heap[i], s.heap[big] = s.heap[big], s.heap[i]
-		i = big
-	}
-	return top
-}
-
-// shrink lowers the sampling threshold to the current maximum tracked
-// hash and evicts every line at or above it — SHARDS's rate adaptation.
-// Evicted lines leave the Fenwick tree so later distances stay exact
-// within the surviving sample.
-func (s *SampledAnalyzer) shrink() {
-	if len(s.heap) == 0 {
-		return
-	}
-	newT := uint64(s.heap[0].hmod)
-	for len(s.heap) > 0 && uint64(s.heap[0].hmod) >= newT {
-		e := s.heapPop()
-		if ts, ok := s.last[e.line]; ok {
-			s.add(ts, ^uint64(0))
-			delete(s.last, e.line)
-		}
-	}
-	s.threshold = newT
-}
-
 // Access processes one byte-address access. Unsampled accesses cost a
 // hash and two increments.
 func (s *SampledAnalyzer) Access(addr uint64) {
 	s.curve.Raw++
 	s.curve.cum = nil
 	line := addr >> s.lineShift
-	hmod := sampleHash(line, s.cfg.Seed) & (shardsModulus - 1)
-	if uint64(hmod) >= s.threshold {
+	if sampleHash(line, s.cfg.Seed)&(shardsModulus-1) >= s.threshold {
 		return
 	}
-	weight := shardsModulus / float64(s.threshold) // 1/rate at observation time
+	weight := shardsModulus / float64(s.threshold) // 1/rate
 	s.curve.Sampled++
 	s.curve.Weight += weight
 
@@ -298,14 +206,9 @@ func (s *SampledAnalyzer) Access(addr uint64) {
 		s.add(prev, ^uint64(0))
 	} else {
 		s.curve.Cold += weight
-		s.heapPush(hashEntry{hmod: uint32(hmod), line: line})
 	}
 	s.add(s.time, 1)
 	s.last[line] = s.time
-
-	if s.cfg.MaxTracked > 0 && len(s.last) > s.cfg.MaxTracked {
-		s.shrink()
-	}
 }
 
 // Curve returns the accumulated estimate. Like Analyzer.Curve, the
@@ -386,13 +289,4 @@ func (c *AveragedCurve) MissRatio(capacityLines int) float64 {
 		v += m.MissRatio(capacityLines)
 	}
 	return v / float64(len(c.members))
-}
-
-// At evaluates the averaged miss ratio at each of the given capacities.
-func (c *AveragedCurve) At(capacities []int) []float64 {
-	out := make([]float64, len(capacities))
-	for i, cap := range capacities {
-		out[i] = c.MissRatio(cap)
-	}
-	return out
 }

@@ -71,43 +71,6 @@ func TestSampledConvergesAllKernels(t *testing.T) {
 	}
 }
 
-// TestSampledFixedSizeMode checks the s_max bounded-memory mode: tracked
-// lines never exceed the cap (plus the one access that triggers a
-// shrink), the effective rate only decreases, and accuracy stays within
-// the documented fixed-size bound (MAE ≤ 0.10 at 4 seeds).
-func TestSampledFixedSizeMode(t *testing.T) {
-	const n = 40000
-	for _, k := range workload.All() {
-		exact, err := KernelCurve(k, 64, n, 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, err := NewSampledSet(SamplerConfig{LineSize: 64, Rate: 0.5, MaxTracked: 512, Seed: 7}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pat := k.NewPattern(0)
-		r := stats.NewRNG(13)
-		for i := 0; i < n; i++ {
-			set.Access(pat.Next(r).Addr)
-			for _, a := range set.analyzers {
-				if a.Tracked() > 512 {
-					t.Fatalf("%s: tracked %d lines, cap 512", k.Name, a.Tracked())
-				}
-			}
-		}
-		for _, a := range set.analyzers {
-			if a.Rate() > 0.5 {
-				t.Fatalf("%s: effective rate %v rose above initial 0.5", k.Name, a.Rate())
-			}
-		}
-		mae, _ := curveError(exact, set.Curve())
-		if mae > 0.10 {
-			t.Errorf("%s: fixed-size 4-seed MAE %.4f > 0.10", k.Name, mae)
-		}
-	}
-}
-
 // TestSampledDeterministicSeedRegression pins exact estimator outputs for
 // one configuration so estimator changes are deliberate, not accidental.
 func TestSampledDeterministicSeedRegression(t *testing.T) {
@@ -158,23 +121,15 @@ func TestSampledFullRateMatchesExact(t *testing.T) {
 }
 
 // TestSampledReset: a reset analyzer must reproduce a fresh analyzer's
-// curve bit-for-bit, including restoration of the initial threshold after
-// fixed-size shrinking.
+// curve bit-for-bit.
 func TestSampledReset(t *testing.T) {
-	cfg := SamplerConfig{LineSize: 64, Rate: 0.4, MaxTracked: 128, Seed: 3}
+	cfg := SamplerConfig{LineSize: 64, Rate: 0.4, Seed: 3}
 	reused, err := NewSampled(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	initialRate := reused.Rate() // threshold is rounded, so ≈ but ≠ cfg.Rate
 	IngestPattern(reused, workload.Redis().NewPattern(0), 20000, 5)
-	if reused.Rate() >= initialRate {
-		t.Fatal("fixed-size mode never shrank the threshold")
-	}
 	reused.Reset()
-	if reused.Rate() != initialRate || reused.Tracked() != 0 {
-		t.Fatalf("after reset: rate=%v tracked=%d", reused.Rate(), reused.Tracked())
-	}
 	IngestPattern(reused, workload.Social().NewPattern(0), 15000, 9)
 	fresh, _ := NewSampled(cfg)
 	IngestPattern(fresh, workload.Social().NewPattern(0), 15000, 9)
@@ -253,9 +208,6 @@ func TestSampledValidation(t *testing.T) {
 	if _, err := NewSampled(SamplerConfig{LineSize: 64, Rate: -0.1}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := NewSampled(SamplerConfig{LineSize: 64, MaxTracked: -1}); err == nil {
-		t.Error("negative MaxTracked accepted")
-	}
 	if _, err := NewSampledSet(SamplerConfig{LineSize: 64}, 0); err == nil {
 		t.Error("zero-seed set accepted")
 	}
@@ -266,4 +218,15 @@ func TestSampledValidation(t *testing.T) {
 	if a.cfg.Rate != 0.1 {
 		t.Fatalf("default rate = %v, want 0.1", a.cfg.Rate)
 	}
+}
+
+// SampledKernelCurve computes the SHARDS estimate of a kernel's curve
+// over the same stream KernelCurve would analyze exactly.
+func SampledKernelCurve(k workload.Kernel, cfg SamplerConfig, accesses int, seed uint64) (*SampledCurve, error) {
+	a, err := NewSampled(cfg)
+	if err != nil {
+		return nil, err
+	}
+	IngestPattern(a, k.NewPattern(0), accesses, seed)
+	return a.Curve(), nil
 }

@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"io"
 	"os"
 	"sync"
 )
@@ -130,12 +129,6 @@ func Span(path string) func() { return Default.Span(path) }
 // StartSpan starts a span at path in the Default registry without
 // allocating; end it with Timing.End.
 func StartSpan(path string) Timing { return Default.StartSpan(path) }
-
-// TakeSnapshot captures the Default registry.
-func TakeSnapshot() *Snapshot { return Default.Snapshot() }
-
-// WriteJSON writes the Default registry's snapshot to w.
-func WriteJSON(w io.Writer) error { return Default.WriteJSON(w) }
 
 // WriteFile writes the Default registry's snapshot to path.
 func WriteFile(path string) error {

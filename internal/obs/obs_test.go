@@ -391,7 +391,7 @@ func TestDefaultHelpers(t *testing.T) {
 	G("g").Set(1)
 	H("h").Observe(1)
 	Span("s")()
-	s := TakeSnapshot()
+	s := Default.Snapshot()
 	if len(s.Counters) != 1 || len(s.Gauges) != 1 || len(s.Histograms) != 1 || len(s.Spans) != 1 {
 		t.Fatalf("default registry snapshot = %+v", s)
 	}

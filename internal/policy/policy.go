@@ -393,10 +393,10 @@ func ScenarioTemplate(lib profile.Dataset, service string, load, partnerLoad flo
 	for _, r := range rows.Rows {
 		exp = r.ExpService
 		cv += r.STCV
-		priv += r.Features[4]
-		shared += r.Features[5]
-		ratio += r.Features[6]
-		period += r.Features[7]
+		priv += r.Features[profile.FeatPrivateWays]
+		shared += r.Features[profile.FeatSharedWays]
+		ratio += r.Features[profile.FeatBoostRatio]
+		period += r.Features[profile.FeatSamplePeriod]
 	}
 	n := float64(rows.Len())
 	return core.Scenario{
@@ -434,17 +434,4 @@ func medianFilterGrid(g [][]float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// MeanTimeout is a helper reporting a decision's average timeout — used
-// by tests and the insight experiment.
-func (d Decision) MeanTimeout() float64 {
-	a, b := d.TimeoutA, d.TimeoutB
-	if math.IsInf(a, 1) {
-		a = 8
-	}
-	if math.IsInf(b, 1) {
-		b = 8
-	}
-	return stats.Mean([]float64{a, b})
 }

@@ -8,7 +8,6 @@ import (
 	"stac/internal/deepforest"
 	"stac/internal/profile"
 	"stac/internal/stats"
-	"stac/internal/testbed"
 	"stac/internal/workload"
 )
 
@@ -174,12 +173,5 @@ func TestScenarioTemplateUnknownService(t *testing.T) {
 	ds := profile.Dataset{Schema: profile.DefaultSchema()}
 	if _, err := ScenarioTemplate(ds, "nosuch", 0.9, 0.9); err == nil {
 		t.Fatal("unknown service accepted")
-	}
-}
-
-func TestMeanTimeoutHandlesInf(t *testing.T) {
-	d := Decision{TimeoutA: testbed.NeverBoost, TimeoutB: 0}
-	if m := d.MeanTimeout(); math.IsInf(m, 0) || m <= 0 {
-		t.Fatalf("mean timeout %v", m)
 	}
 }

@@ -57,31 +57,6 @@ func (d *Dataset) Append(other Dataset) error {
 	return nil
 }
 
-// Split partitions the dataset into train and test subsets with the given
-// training fraction, shuffling deterministically by seed. The paper trains
-// its approach on 33 % and competitors on 70 % (§5.1).
-func (d Dataset) Split(trainFrac float64, seed uint64) (train, test Dataset) {
-	r := stats.NewRNG(seed)
-	idx := r.Perm(len(d.Rows))
-	nTrain := int(trainFrac * float64(len(d.Rows)))
-	if nTrain < 0 {
-		nTrain = 0
-	}
-	if nTrain > len(d.Rows) {
-		nTrain = len(d.Rows)
-	}
-	train = Dataset{Schema: d.Schema, Rows: make([]Row, 0, nTrain)}
-	test = Dataset{Schema: d.Schema, Rows: make([]Row, 0, len(d.Rows)-nTrain)}
-	for i, j := range idx {
-		if i < nTrain {
-			train.Rows = append(train.Rows, d.Rows[j])
-		} else {
-			test.Rows = append(test.Rows, d.Rows[j])
-		}
-	}
-	return train, test
-}
-
 // SplitByCondition partitions the dataset so all rows of one profiling
 // condition land on the same side — the paper's protocol ("testing data
 // was not used during training to ensure models accurately extrapolated

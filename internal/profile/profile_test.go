@@ -144,17 +144,6 @@ func TestBuildRowsErrors(t *testing.T) {
 	}
 }
 
-func TestSplitDisjointAndComplete(t *testing.T) {
-	ds := collectSmall(t)
-	train, test := ds.Split(0.33, 7)
-	if train.Len()+test.Len() != ds.Len() {
-		t.Fatalf("split lost rows: %d + %d != %d", train.Len(), test.Len(), ds.Len())
-	}
-	if train.Len() != int(0.33*float64(ds.Len())) {
-		t.Fatalf("train size %d", train.Len())
-	}
-}
-
 func TestTruncateAndFilter(t *testing.T) {
 	ds := collectSmall(t)
 	tr := ds.Truncate(5)
@@ -201,13 +190,6 @@ func TestUniformPointsInBounds(t *testing.T) {
 	}
 }
 
-func TestGridPoints(t *testing.T) {
-	pts := GridPoints(2, 3)
-	if len(pts) != 2*2*3*3 {
-		t.Fatalf("grid size %d, want 36", len(pts))
-	}
-}
-
 func TestStratifiedPointsCountAndBounds(t *testing.T) {
 	rng := stats.NewRNG(11)
 	evals := 0
@@ -216,7 +198,7 @@ func TestStratifiedPointsCountAndBounds(t *testing.T) {
 		// Synthetic outcome: EA depends on timeout A.
 		return 1 / (1 + p.TimeoutA)
 	}
-	pts := StratifiedPoints(40, 10, 4, eval, rng)
+	pts := StratifiedPoints(40, 10, 4, eval, rng, 1)
 	if len(pts) != 40 {
 		t.Fatalf("got %d points, want 40", len(pts))
 	}
@@ -242,7 +224,7 @@ func TestStratifiedCoversOutcomeSpaceBetterThanUniformTail(t *testing.T) {
 		}
 		return 0.2
 	}
-	pts := StratifiedPoints(60, 16, 2, eval, rng)
+	pts := StratifiedPoints(60, 16, 2, eval, rng, 1)
 	lo, hi := 0, 0
 	for _, p := range pts {
 		if p.TimeoutA < 3 {

@@ -65,53 +65,19 @@ func UniformPoints(n int, rng *stats.RNG) []Point {
 	return out
 }
 
-// GridPoints enumerates a regular grid over the condition space with the
-// given number of steps per dimension for loads and timeouts (used by
-// policy exploration, which sweeps 5 timeout settings per workload).
-func GridPoints(loadSteps, timeoutSteps int) []Point {
-	loads := linspace(MinLoad, MaxLoad, loadSteps)
-	tos := linspace(MinTimeout, MaxTimeout, timeoutSteps)
-	var out []Point
-	for _, la := range loads {
-		for _, lb := range loads {
-			for _, ta := range tos {
-				for _, tb := range tos {
-					out = append(out, Point{LoadA: la, LoadB: lb, TimeoutA: ta, TimeoutB: tb})
-				}
-			}
-		}
-	}
-	return out
-}
-
-func linspace(lo, hi float64, n int) []float64 {
-	if n <= 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-	}
-	return out
-}
-
 // StratifiedPoints implements §4's stratified sampler: draw nSeeds random
 // conditions, evaluate each (the caller's eval typically runs a short
 // profiling experiment and returns measured effective allocation), cluster
 // the seeds by their outcome into k strata, then generate the remaining
 // points near the centroid *settings* of each cluster — covering the
 // distinct behavioural regimes instead of oversampling any one.
-func StratifiedPoints(nTotal, nSeeds, k int, eval func(Point) float64, rng *stats.RNG) []Point {
-	return StratifiedPointsParallel(nTotal, nSeeds, k, eval, rng, 1)
-}
-
-// StratifiedPointsParallel is StratifiedPoints with the seed-probe
-// evaluations fanned out over up to workers goroutines; eval must then
-// be safe for concurrent calls. All rng consumption (seed draws,
-// clustering, centroid jitter) happens on the calling goroutine, so the
-// returned points are identical to the sequential sampler's for any
-// worker count.
-func StratifiedPointsParallel(nTotal, nSeeds, k int, eval func(Point) float64, rng *stats.RNG, workers int) []Point {
+//
+// The seed-probe evaluations fan out over up to workers goroutines, so
+// eval must be safe for concurrent calls unless workers is 1. All rng
+// consumption (seed draws, clustering, centroid jitter) happens on the
+// calling goroutine, so the returned points are identical for any worker
+// count.
+func StratifiedPoints(nTotal, nSeeds, k int, eval func(Point) float64, rng *stats.RNG, workers int) []Point {
 	if nSeeds > nTotal {
 		nSeeds = nTotal
 	}

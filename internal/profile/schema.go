@@ -23,6 +23,61 @@ import (
 // 600 % (6.0) anyway.
 const TimeoutCap = 8.0
 
+// Positions of the static features at the head of every row's feature
+// vector, in DefaultSchema's Static order.
+const (
+	FeatLoad = iota
+	FeatTimeout
+	FeatPartnerLoad
+	FeatPartnerTimeout
+	FeatPrivateWays
+	FeatSharedWays
+	FeatBoostRatio
+	FeatSamplePeriod
+	NumStatic
+)
+
+// Static is the runtime condition a row describes: the static features
+// of Equation 2. Vector encodes it and StaticOf decodes it, so rows built
+// from measurements and inputs reconstructed for unseen scenarios share
+// one layout.
+type Static struct {
+	Load, Timeout               float64
+	PartnerLoad, PartnerTimeout float64
+	PrivateWays, SharedWays     int
+	BoostRatio, SamplePeriodRel float64
+}
+
+// Vector returns the static features in schema order, with infinite or
+// over-cap timeouts replaced by TimeoutCap.
+func (s Static) Vector() [NumStatic]float64 {
+	return [NumStatic]float64{
+		FeatLoad:           s.Load,
+		FeatTimeout:        capTimeout(s.Timeout),
+		FeatPartnerLoad:    s.PartnerLoad,
+		FeatPartnerTimeout: capTimeout(s.PartnerTimeout),
+		FeatPrivateWays:    float64(s.PrivateWays),
+		FeatSharedWays:     float64(s.SharedWays),
+		FeatBoostRatio:     s.BoostRatio,
+		FeatSamplePeriod:   s.SamplePeriodRel,
+	}
+}
+
+// StaticOf decodes the static features at the head of a feature vector.
+func StaticOf(features []float64) Static {
+	f := features[:NumStatic]
+	return Static{
+		Load:            f[FeatLoad],
+		Timeout:         f[FeatTimeout],
+		PartnerLoad:     f[FeatPartnerLoad],
+		PartnerTimeout:  f[FeatPartnerTimeout],
+		PrivateWays:     int(f[FeatPrivateWays]),
+		SharedWays:      int(f[FeatSharedWays]),
+		BoostRatio:      f[FeatBoostRatio],
+		SamplePeriodRel: f[FeatSamplePeriod],
+	}
+}
+
 // Schema describes the layout of a profile row's feature vector: static
 // runtime-condition features, dynamic features observed during the window,
 // then a (counters × queries) matrix flattened row-major (each counter is
@@ -124,25 +179,22 @@ func BuildRows(schema Schema, run *testbed.RunResult, svcIdx int) ([]Row, error)
 	svc := run.Services[svcIdx]
 	spec := svc.Spec
 
-	var partnerLoad, partnerTimeout float64
+	cond := Static{
+		Load:            spec.Load,
+		Timeout:         spec.Timeout,
+		PrivateWays:     run.Condition.PrivateWays,
+		SharedWays:      run.Condition.SharedWays,
+		BoostRatio:      svc.BoostRatio,
+		SamplePeriodRel: run.Condition.SamplePeriod / svc.ExpServiceTime,
+	}
 	for i, other := range run.Services {
 		if i != svcIdx {
-			partnerLoad = other.Spec.Load
-			partnerTimeout = capTimeout(other.Spec.Timeout)
+			cond.PartnerLoad = other.Spec.Load
+			cond.PartnerTimeout = other.Spec.Timeout
 			break
 		}
 	}
-
-	static := []float64{
-		spec.Load,
-		capTimeout(spec.Timeout),
-		partnerLoad,
-		partnerTimeout,
-		float64(run.Condition.PrivateWays),
-		float64(run.Condition.SharedWays),
-		svc.BoostRatio,
-		run.Condition.SamplePeriod / svc.ExpServiceTime,
-	}
+	static := cond.Vector()
 
 	n := schema.QueriesPerRow
 	var rows []Row
@@ -172,7 +224,7 @@ func BuildRows(schema Schema, run *testbed.RunResult, svcIdx int) ([]Row, error)
 		}
 
 		feats := make([]float64, 0, schema.NumFeatures())
-		feats = append(feats, static...)
+		feats = append(feats, static[:]...)
 		feats = append(feats, dynamic...)
 		// Counter matrix, row-major: counter (in schema order) × query.
 		for _, ctr := range schema.CounterOrder {

@@ -5,14 +5,13 @@
 // models — so the package centres on a discrete-event G/G/k simulator
 // whose service rate switches when a query's time in system crosses the
 // policy timeout, scaled by the learned effective cache allocation.
-// Closed-form M/M/c results are included for validating the simulator in
-// the no-boost regime.
+// Closed-form M/M/c, M/M/1 and M/G/1 results live in the package's tests,
+// where they validate the simulator in the no-boost regime.
 package queueing
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"stac/internal/obs"
 	"stac/internal/stats"
@@ -97,15 +96,6 @@ type Result struct {
 	// L = λ·W trivially with the response times themselves.
 	Arrivals    []float64
 	BoostedFrac float64
-}
-
-// Clone returns a copy of r that owns its slices, for keeping a Result
-// that Simulator.Run returned past the simulator's next run.
-func (r Result) Clone() Result {
-	r.ResponseTimes = slices.Clone(r.ResponseTimes)
-	r.QueueDelays = slices.Clone(r.QueueDelays)
-	r.Arrivals = slices.Clone(r.Arrivals)
-	return r
 }
 
 // MeanResponse returns the average response time.
@@ -328,52 +318,4 @@ func (s *Simulator) keepStd(seed uint64, arrKind, svcKind stats.Standard, n int)
 		st.arr = append(st.arr, arrKind.Draw(s.rng))
 		st.svc = append(st.svc, svcKind.Draw(s.rng))
 	}
-}
-
-// MMcWait returns the analytic mean waiting time (excluding service) of an
-// M/M/c queue with arrival rate lambda, per-server service rate mu and c
-// servers, via the Erlang-C formula. It returns an error when the system
-// is unstable (ρ >= 1).
-func MMcWait(lambda, mu float64, c int) (float64, error) {
-	if lambda <= 0 || mu <= 0 || c <= 0 {
-		return 0, fmt.Errorf("queueing: bad M/M/c parameters")
-	}
-	rho := lambda / (float64(c) * mu)
-	if rho >= 1 {
-		return 0, fmt.Errorf("queueing: unstable system (rho=%v)", rho)
-	}
-	a := lambda / mu
-	// Erlang C: P(wait) = (a^c/c!)·(1/(1-ρ)) / (Σ_{k<c} a^k/k! + a^c/c!·1/(1-ρ))
-	sum := 0.0
-	term := 1.0 // a^k / k!
-	for k := 0; k < c; k++ {
-		sum += term
-		term *= a / float64(k+1)
-	}
-	top := term / (1 - rho) // a^c/c! × 1/(1-ρ)
-	pWait := top / (sum + top)
-	return pWait / (float64(c)*mu - lambda), nil
-}
-
-// MM1Response returns the analytic mean response time of an M/M/1 queue.
-func MM1Response(lambda, mu float64) (float64, error) {
-	if lambda >= mu {
-		return 0, fmt.Errorf("queueing: unstable M/M/1 (lambda=%v mu=%v)", lambda, mu)
-	}
-	return 1 / (mu - lambda), nil
-}
-
-// MG1Wait returns the analytic mean waiting time of an M/G/1 queue via
-// the Pollaczek–Khinchine formula: W = λ·E[S²] / (2(1−ρ)). meanS and
-// cvS describe the general service distribution.
-func MG1Wait(lambda, meanS, cvS float64) (float64, error) {
-	if lambda <= 0 || meanS <= 0 || cvS < 0 {
-		return 0, fmt.Errorf("queueing: bad M/G/1 parameters")
-	}
-	rho := lambda * meanS
-	if rho >= 1 {
-		return 0, fmt.Errorf("queueing: unstable M/G/1 (rho=%v)", rho)
-	}
-	es2 := meanS * meanS * (1 + cvS*cvS)
-	return lambda * es2 / (2 * (1 - rho)), nil
 }

@@ -141,9 +141,6 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Registry exposes the engine's model registry.
-func (e *Engine) Registry() *Registry { return e.registry }
-
 // LoadModel loads (or hot-reloads) a model + library pair from disk.
 // The swap is atomic; the old version drains. The prediction cache is
 // cleared — its entries belong to the retired model. A file that fails
@@ -316,8 +313,8 @@ func buildScenario(v *Version, req PredictRequest) (core.Scenario, cacheKey, *Er
 	return scen, key, nil
 }
 
-// clampEA mirrors core.Predictor.PredictEA's clamp to the physically
-// meaningful effective-allocation range.
+// clampEA mirrors the clamp core.Predictor applies to a predicted
+// effective allocation: the physically meaningful range.
 func clampEA(ea float64) float64 {
 	if ea < 0.02 {
 		return 0.02

@@ -53,19 +53,6 @@ type Version struct {
 	drained chan struct{}
 }
 
-// Info returns the version's metadata.
-func (v *Version) Info() ModelInfo { return v.info }
-
-// Model returns the version's model.
-func (v *Version) Model() BatchModel { return v.model }
-
-// Predictor returns the version's full three-stage predictor.
-func (v *Version) Predictor() *core.Predictor { return v.pred }
-
-// Drained is closed once the version holds no references: the registry
-// has moved on and every in-flight request finished.
-func (v *Version) Drained() <-chan struct{} { return v.drained }
-
 // Template returns the scenario skeleton for a service, with calibrated
 // service time, variability and layout features from the library.
 func (v *Version) Template(service string) (core.Scenario, bool) {
@@ -178,6 +165,13 @@ func (r *Registry) Reload() (ModelInfo, *Version, error) {
 	return r.Load(modelPath, dataPath)
 }
 
+// widthModel is a model that knows its input width. Install checks it
+// against the library's schema; the model files Load reads must satisfy
+// it, or that check would silently stop applying to them.
+type widthModel interface{ NumFeatures() int }
+
+var _ widthModel = (*deepforest.Model)(nil)
+
 // Install assembles a version from in-memory parts and makes it
 // current. The expensive pieces (scenario templates, the full predictor
 // with its fitted corrections) are built before the swap, so serving
@@ -191,7 +185,7 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 	}
 	// A model trained on another schema would read its features out of
 	// place, or past the end of the builder's vectors.
-	if m, ok := model.(interface{ NumFeatures() int }); ok && m.NumFeatures() != library.Schema.NumFeatures() {
+	if m, ok := model.(widthModel); ok && m.NumFeatures() != library.Schema.NumFeatures() {
 		return ModelInfo{}, nil, fmt.Errorf("serve: model takes %d features, the library's schema has %d",
 			m.NumFeatures(), library.Schema.NumFeatures())
 	}

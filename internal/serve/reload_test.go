@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stac/internal/core"
 	"stac/internal/deepforest"
 	"stac/internal/obs"
+	"stac/internal/profile"
 	"stac/internal/stats"
 )
 
@@ -151,4 +154,66 @@ func TestEngineReloadRejectsMalformedModel(t *testing.T) {
 	if info, err := e.Reload(); err != nil || info.Version != 2 {
 		t.Fatalf("reload of the intact file: %+v, %v; want version 2", info, err)
 	}
+}
+
+// TestEngineRejectsModelOfWrongWidth installs, then hot-reloads, a real
+// deep forest trained on a narrower feature vector than the library's
+// schema. Both fail with the width error and version 1 keeps answering.
+func TestEngineRejectsModelOfWrongWidth(t *testing.T) {
+	lib := syntheticLibrary(t)
+	for i := range lib.Rows {
+		lib.Rows[i].EA = 0.2 + 0.2*float64(i) // targets to split on
+	}
+	narrow := profile.Dataset{Schema: lib.Schema}
+	narrow.Schema.QueriesPerRow /= 2
+	for _, r := range lib.Rows {
+		r.Features = r.Features[:narrow.Schema.NumFeatures()]
+		narrow.Rows = append(narrow.Rows, r)
+	}
+	train := func(ds profile.Dataset) *deepforest.Model {
+		m, err := core.TrainDeepForestEA(ds, deepforest.Config{}, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	save := func(m *deepforest.Model, path string) {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	modelPath, dataPath := filepath.Join(dir, "model.gob"), filepath.Join(dir, "profile.json.gz")
+	save(train(lib), modelPath)
+	if err := lib.SaveFile(dataPath); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(Config{Obs: obs.NewRegistry(), CacheSize: -1})
+	defer e.Close()
+	if _, err := e.LoadModel(modelPath, dataPath); err != nil {
+		t.Fatal(err)
+	}
+
+	want := fmt.Sprintf("model takes %d features, the library's schema has %d",
+		narrow.Schema.NumFeatures(), lib.Schema.NumFeatures())
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", what, err, want)
+		}
+		resp, serr := e.Predict(testRequest())
+		if serr != nil || resp.ModelVersion != 1 {
+			t.Errorf("%s: afterwards predict = %+v, %v; want version 1 answering", what, resp, serr)
+		}
+	}
+	bad := train(narrow)
+	_, err := e.Install(bad, lib)
+	check("install", err)
+	save(bad, modelPath)
+	_, err = e.Reload()
+	check("reload", err)
 }

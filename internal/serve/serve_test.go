@@ -223,14 +223,14 @@ func TestRegistryReloadDrainsOldVersion(t *testing.T) {
 
 	// The old version still serves its in-flight holder...
 	select {
-	case <-v1.Drained():
+	case <-v1.drained:
 		t.Fatal("old version drained while a reference was held")
 	default:
 	}
 	// ...and drains, not drops, once released.
 	v1.Release()
 	select {
-	case <-v1.Drained():
+	case <-v1.drained:
 	case <-time.After(time.Second):
 		t.Fatal("old version never drained after the last release")
 	}
@@ -516,6 +516,10 @@ func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 						resp.ModelVersion, floor)
 					return
 				}
+				// Loops with no think time would hold every CPU
+				// themselves, and one descheduled for 50 ms would miss
+				// the default deadline whatever the registry does.
+				time.Sleep(5 * time.Millisecond)
 			}
 		}()
 	}
@@ -535,7 +539,7 @@ func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 
 	for _, old := range olds {
 		select {
-		case <-old.Drained():
+		case <-old.drained:
 		case <-time.After(2 * time.Second):
 			t.Fatalf("version %d never drained", old.info.Version)
 		}

@@ -43,9 +43,6 @@ type searchKey struct {
 // NewServer wraps an engine with the HTTP front end.
 func NewServer(e *Engine) *Server { return &Server{engine: e} }
 
-// Engine returns the wrapped engine.
-func (s *Server) Engine() *Engine { return s.engine }
-
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

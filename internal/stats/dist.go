@@ -178,9 +178,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return z
 }
 
-// N returns the support size.
-func (z *Zipf) N() int { return z.n }
-
 // Sample draws a rank in [0, N): the smallest index whose CDF value
 // reaches the uniform draw (capped at n-1), located via the guide table.
 func (z *Zipf) Sample(r *RNG) int {

@@ -164,19 +164,6 @@ func APE(actual, predicted float64) float64 {
 	return math.Abs(predicted-actual) / math.Abs(actual)
 }
 
-// APEs returns element-wise absolute percentage errors. It panics when the
-// two slices differ in length.
-func APEs(actual, predicted []float64) []float64 {
-	if len(actual) != len(predicted) {
-		panic("stats: APEs length mismatch")
-	}
-	out := make([]float64, len(actual))
-	for i := range actual {
-		out[i] = APE(actual[i], predicted[i])
-	}
-	return out
-}
-
 // Summary holds order statistics of a sample. Build one with Summarize.
 type Summary struct {
 	N      int
@@ -229,9 +216,6 @@ func (w *Welford) Add(x float64) {
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }

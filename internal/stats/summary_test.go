@@ -104,15 +104,6 @@ func TestAPE(t *testing.T) {
 	}
 }
 
-func TestAPEsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	APEs([]float64{1}, []float64{1, 2})
-}
-
 func TestSummarize(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	s := Summarize(xs)

@@ -58,8 +58,7 @@ type Interval struct {
 type Intervals struct {
 	Spans []Interval
 	// curves[i] is the sampled miss-ratio curve of Spans[i]'s window.
-	curves   []*mrc.SampledCurve
-	traceLen int
+	curves []*mrc.SampledCurve
 }
 
 // featureCaps are the capacities (in lines) whose miss ratios form a
@@ -144,7 +143,7 @@ func SelectIntervals(pat workload.Pattern, n int, cfg IntervalConfig) (*Interval
 		}
 	}
 
-	iv := &Intervals{traceLen: winLen * cfg.Windows}
+	iv := &Intervals{}
 	for c := 0; c < k; c++ {
 		if repIdx[c] < 0 {
 			continue // empty cluster
@@ -158,19 +157,6 @@ func SelectIntervals(pat workload.Pattern, n int, cfg IntervalConfig) (*Interval
 		iv.curves = append(iv.curves, curves[w])
 	}
 	return iv, nil
-}
-
-// Coverage is the fraction of the trace the representative spans replay:
-// the speed advantage of interval replay is 1/Coverage.
-func (iv *Intervals) Coverage() float64 {
-	if iv.traceLen == 0 {
-		return 0
-	}
-	total := 0
-	for _, s := range iv.Spans {
-		total += s.End - s.Start
-	}
-	return float64(total) / float64(iv.traceLen)
 }
 
 // MissRatio estimates the full trace's miss ratio at a capacity as the

@@ -36,9 +36,6 @@ func TestSelectIntervalsBasics(t *testing.T) {
 	if math.Abs(wsum-1) > 1e-9 {
 		t.Fatalf("weights sum to %v, want 1", wsum)
 	}
-	if got, want := iv.Coverage(), float64(len(iv.Spans))/float64(cfg.Windows); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("coverage %v, want %v", got, want)
-	}
 
 	// Determinism: the same config reproduces the same selection.
 	iv2, err := SelectIntervals(k.NewPattern(0), 40000, cfg)

@@ -193,16 +193,12 @@ func (m *Model) serviceTimeAtLines(lines int, pressure float64) float64 {
 	return base * m.CyclesAtLines(lines, pressure) / solo
 }
 
-// MemTraffic predicts the LLC miss traffic (misses per simulated second)
-// the kernel's service injects into the memory controller: the per-core
-// miss rate while executing, scaled by how many cores are busy on
-// average. This is the quantity the testbed's pressure EWMA tracks.
-func (m *Model) MemTraffic(ways int, pressure, utilization float64, servers int) float64 {
-	return m.memTrafficAtLines(float64(ways*m.linesPerWay), pressure, utilization, servers)
-}
-
-// memTrafficAtLines is MemTraffic at a fractional allocation (a
-// boost-weighted time average), expressed in lines.
+// memTrafficAtLines predicts the LLC miss traffic (misses per simulated
+// second) the kernel's service injects into the memory controller at an
+// allocation of lines (fractional for a boost-weighted time average):
+// the per-core miss rate while executing, scaled by how many cores are
+// busy on average. This is the quantity the testbed's pressure EWMA
+// tracks.
 func (m *Model) memTrafficAtLines(lines float64, pressure, utilization float64, servers int) float64 {
 	l := int(math.Round(lines))
 	cyc := m.CyclesAtLines(l, pressure)

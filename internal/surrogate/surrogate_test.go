@@ -79,9 +79,9 @@ func TestModelPhysics(t *testing.T) {
 	// Memory traffic: cache-resident KNN presses far less than streaming.
 	knn := exactModel(t, workload.KNN(), 7)
 	sps := exactModel(t, workload.Spstream(), 7)
-	if knn.MemTraffic(8, 0, 0.9, 2) > sps.MemTraffic(8, 0, 0.9, 2)/10 {
-		t.Fatalf("knn traffic %v should be far below spstream %v",
-			knn.MemTraffic(8, 0, 0.9, 2), sps.MemTraffic(8, 0, 0.9, 2))
+	traffic := func(m *Model) float64 { return m.memTrafficAtLines(float64(8*m.linesPerWay), 0, 0.9, 2) }
+	if traffic(knn) > traffic(sps)/10 {
+		t.Fatalf("knn traffic %v should be far below spstream %v", traffic(knn), traffic(sps))
 	}
 }
 

@@ -451,8 +451,8 @@ func maskRatio(p cat.MaskPolicy) float64 {
 
 // calKey fingerprints a calibration: the processor (comparable struct),
 // the kernel's observable identity — name alone is not enough because
-// KernelFromTrace can mint kernels with arbitrary names — and the exact
-// allocation/addressing/seed inputs. Calibration is a pure function of
+// workload.Kernel is a plain struct any caller can fill in under any
+// name — and the exact allocation/addressing/seed inputs. Calibration is a pure function of
 // these, so results are memoised process-wide: policy searches and
 // repeated profiling runs re-derive the same expected service times for
 // every condition they spawn, and the closed calibration loop is ~30 %

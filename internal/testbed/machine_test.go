@@ -133,11 +133,6 @@ func TestEffectiveAllocationBounds(t *testing.T) {
 		if ea <= 0 || ea > 1.6 {
 			t.Fatalf("%s effective allocation %v outside plausible (0, 1.6]", s.Name, ea)
 		}
-		for _, w := range s.EffectiveAllocationWindows(4) {
-			if w <= 0 || w > 2.5 {
-				t.Fatalf("%s window EA %v implausible", s.Name, w)
-			}
-		}
 	}
 }
 

@@ -76,15 +76,6 @@ func (s ServiceResult) ServiceTimes() []float64 {
 	return out
 }
 
-// QueueDelays extracts the queueing delay of every measured query.
-func (s ServiceResult) QueueDelays() []float64 {
-	out := make([]float64, len(s.Queries))
-	for i, q := range s.Queries {
-		out[i] = q.QueueDelay()
-	}
-	return out
-}
-
 // MeanResponse returns the average response time.
 func (s ServiceResult) MeanResponse() float64 { return stats.Mean(s.ResponseTimes()) }
 
@@ -93,20 +84,6 @@ func (s ServiceResult) P95Response() float64 { return stats.Percentile(s.Respons
 
 // MeanServiceTime returns the average processing time.
 func (s ServiceResult) MeanServiceTime() float64 { return stats.Mean(s.ServiceTimes()) }
-
-// BoostedFraction returns the fraction of queries that ran boosted.
-func (s ServiceResult) BoostedFraction() float64 {
-	if len(s.Queries) == 0 {
-		return 0
-	}
-	n := 0
-	for _, q := range s.Queries {
-		if q.Boosted {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Queries))
-}
 
 // EffectiveAllocation computes Equation 3: the speedup of the measured
 // service time over the calibrated baseline service time, normalised by
@@ -120,40 +97,6 @@ func (s ServiceResult) EffectiveAllocation() float64 {
 	}
 	speedup := s.ExpServiceTime / st
 	return speedup / s.BoostRatio
-}
-
-// EffectiveAllocationWindows splits the run into nWindows equal spans of
-// measured queries and computes effective allocation per span — §3.1:
-// "profiling runs capture dynamic runtime conditions during execution,
-// allowing us to split long running tests into multiple smaller
-// measurements of effective cache allocation."
-func (s ServiceResult) EffectiveAllocationWindows(nWindows int) []float64 {
-	if nWindows <= 0 || len(s.Queries) == 0 {
-		return nil
-	}
-	out := make([]float64, 0, nWindows)
-	per := len(s.Queries) / nWindows
-	if per == 0 {
-		per = 1
-	}
-	for start := 0; start < len(s.Queries); start += per {
-		end := start + per
-		if end > len(s.Queries) {
-			end = len(s.Queries)
-		}
-		span := s.Queries[start:end]
-		times := make([]float64, len(span))
-		for i, q := range span {
-			times[i] = q.ServiceTime()
-		}
-		st := stats.Mean(times)
-		if st <= 0 || s.BoostRatio <= 0 {
-			out = append(out, 0)
-			continue
-		}
-		out = append(out, (s.ExpServiceTime/st)/s.BoostRatio)
-	}
-	return out
 }
 
 // RunResult is the outcome of executing one condition on the testbed.
@@ -182,14 +125,4 @@ func (r *RunResult) RequireComplete() error {
 	}
 	return fmt.Errorf("testbed: run truncated at sim time %.3gs before query budget completed: %s",
 		r.SimTime, strings.Join(names, ", "))
-}
-
-// Service returns the result for the named service, or nil.
-func (r *RunResult) Service(name string) *ServiceResult {
-	for i := range r.Services {
-		if r.Services[i].Name == name {
-			return &r.Services[i]
-		}
-	}
-	return nil
 }

@@ -49,9 +49,6 @@ func TestServiceResultAggregates(t *testing.T) {
 	if got := s.EffectiveAllocation(); got != 0.25 {
 		t.Errorf("EffectiveAllocation = %v, want 0.25", got)
 	}
-	if got := len(s.EffectiveAllocationWindows(2)); got != 2 {
-		t.Errorf("EA windows = %d, want 2", got)
-	}
 	if got := s.P95Response(); got < 4.5 || got > 5 {
 		t.Errorf("P95Response = %v", got)
 	}
@@ -64,9 +61,6 @@ func TestServiceResultEmpty(t *testing.T) {
 	}
 	if s.EffectiveAllocation() != 0 {
 		t.Error("empty EA should be 0")
-	}
-	if s.EffectiveAllocationWindows(3) != nil {
-		t.Error("empty EA windows should be nil")
 	}
 }
 

@@ -28,12 +28,6 @@ func NewSchedule(queries []Query) *Schedule {
 	return &Schedule{queries: queries}
 }
 
-// Len returns the total number of scheduled queries.
-func (s *Schedule) Len() int { return len(s.queries) }
-
-// Queries exposes the underlying sequence (read-only by convention).
-func (s *Schedule) Queries() []Query { return s.queries }
-
 // Peek returns the next query, or a sentinel with Arrival = +Inf when
 // the schedule is exhausted.
 func (s *Schedule) Peek() Query {

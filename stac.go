@@ -185,7 +185,7 @@ func Profile(opts ProfileOptions) (Dataset, error) {
 		if nSeeds > points {
 			nSeeds = points
 		}
-		pts = profile.StratifiedPointsParallel(points, nSeeds, 4, func(p Point) float64 {
+		pts = profile.StratifiedPoints(points, nSeeds, 4, func(p Point) float64 {
 			return profile.EvalEA(copts, p)
 		}, rng, opts.Workers)
 	}
