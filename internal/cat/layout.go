@@ -28,35 +28,11 @@ func PlanChain(totalWays, n, privateWays, sharedWays int) (Layout, error) {
 	if n < 1 {
 		return Layout{}, fmt.Errorf("cat: need at least one workload, got %d", n)
 	}
-	need := n*privateWays + (n-1)*sharedWays
-	if privateWays <= 0 || sharedWays < 0 {
-		return Layout{}, fmt.Errorf("cat: bad span sizes private=%d shared=%d", privateWays, sharedWays)
+	privs := make([]int, n)
+	for i := range privs {
+		privs[i] = privateWays
 	}
-	if need > totalWays {
-		return Layout{}, fmt.Errorf("cat: layout needs %d ways, have %d", need, totalWays)
-	}
-	l := Layout{TotalWays: totalWays}
-	stride := privateWays + sharedWays
-	for i := 0; i < n; i++ {
-		privOff := i * stride
-		boostOff := privOff
-		boostLen := privateWays
-		if i > 0 { // shared span with the left neighbour
-			boostOff -= sharedWays
-			boostLen += sharedWays
-		}
-		if i < n-1 { // shared span with the right neighbour
-			boostLen += sharedWays
-		}
-		l.Policies = append(l.Policies, STAP{
-			Default: Setting{Offset: privOff, Length: privateWays},
-			Boost:   Setting{Offset: boostOff, Length: boostLen},
-		})
-	}
-	if err := l.Validate(); err != nil {
-		return Layout{}, err
-	}
-	return l, nil
+	return PlanChainAsym(totalWays, privs, sharedWays)
 }
 
 // PlanChainAsym builds the chain layout with per-workload private span

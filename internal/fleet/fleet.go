@@ -27,10 +27,8 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 
 	"stac/internal/cat"
-	"stac/internal/stats"
 	"stac/internal/testbed"
 	"stac/internal/workload"
 )
@@ -330,23 +328,4 @@ func refCalibration(cfg Config, svc int) (float64, error) {
 	mask := cat.Setting{Offset: 0, Length: n.PrivateWays}.Mask()
 	return testbed.CalibrateServiceTime(n.Processor, cfg.Services[svc].Kernel, mask,
 		uint64(svc+1)<<32, cfg.Seed+uint64(svc)*7919)
-}
-
-// serviceCV estimates a service's demand-driven service-time CV for the
-// migrator's queueing model, from a fixed 512-draw sample.
-func serviceCV(k workload.Kernel, seed uint64) float64 {
-	r := stats.NewRNG(seed)
-	var sum, sq float64
-	const draws = 512
-	for i := 0; i < draws; i++ {
-		d := k.Demand.Sample(r)
-		sum += d
-		sq += d * d
-	}
-	mean := sum / draws
-	varc := sq/draws - mean*mean
-	if mean <= 0 || varc <= 0 {
-		return 0.3
-	}
-	return math.Sqrt(varc) / mean
 }

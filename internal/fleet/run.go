@@ -146,7 +146,7 @@ func newState(cfg Config) (*state, error) {
 		}
 		st.expRef[i] = exp
 		st.demandMean[i] = s.Kernel.Demand.Mean()
-		st.cv[i] = serviceCV(s.Kernel, cfg.Seed+uint64(i)*6151+13)
+		st.cv[i] = s.Kernel.DemandCV(cfg.Seed + uint64(i)*6151 + 13)
 		st.sla[i] = s.SLAFactor * exp
 		st.warmth[i] = make([]float64, nn)
 		st.meas[i] = make([]float64, nn)

@@ -217,3 +217,45 @@ func TestEngineRejectsModelOfWrongWidth(t *testing.T) {
 	_, err = e.Reload()
 	check("reload", err)
 }
+
+// TestRegistryPredictorRunsOnOneWorker pins the worker bound Install
+// gives every version's predictor. A reload fits its corrections while
+// live predicts wait on their deadlines, so it must not take their
+// cores; a bound of 0 would mean all of them.
+func TestRegistryPredictorRunsOnOneWorker(t *testing.T) {
+	lib := syntheticLibrary(t)
+	m, err := core.TrainDeepForestEA(lib, deepforest.Config{}, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	modelPath, dataPath := filepath.Join(dir, "model.gob"), filepath.Join(dir, "profile.json.gz")
+	if err := os.WriteFile(modelPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.SaveFile(dataPath); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(2)
+	for _, step := range []struct {
+		name string
+		do   func() (ModelInfo, *Version, error)
+	}{
+		{"install", func() (ModelInfo, *Version, error) { return r.Install(m, lib) }},
+		{"load", func() (ModelInfo, *Version, error) { return r.Load(modelPath, dataPath) }},
+		{"reload", r.Reload},
+	} {
+		if _, _, err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		v := r.Acquire()
+		if w := v.pred.Workers(); w != 1 {
+			t.Errorf("%s: version %d predicts on %d workers, want 1", step.name, v.info.Version, w)
+		}
+		v.Release()
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"stac/internal/cat"
 	"stac/internal/mrc"
 	"stac/internal/par"
-	"stac/internal/stats"
 	"stac/internal/testbed"
 	"stac/internal/workload"
 )
@@ -101,24 +100,7 @@ func NewModel(proc testbed.Processor, k workload.Kernel, curve mrc.CapacityCurve
 		return nil, err
 	}
 
-	// Service-time variability: per-query time is demand × mean access
-	// cost, so its CV tracks the demand distribution's (the per-access
-	// level mixture averages out over thousands of accesses).
-	r := stats.NewRNG(cfg.Seed + 2)
-	var sum, sq float64
-	const draws = 512
-	for i := 0; i < draws; i++ {
-		d := k.Demand.Sample(r)
-		sum += d
-		sq += d * d
-	}
-	mean := sum / draws
-	varc := sq/draws - mean*mean
-	if mean > 0 && varc > 0 {
-		m.cv = math.Sqrt(varc) / mean
-	} else {
-		m.cv = 0.3
-	}
+	m.cv = k.DemandCV(cfg.Seed + 2)
 	return m, nil
 }
 

@@ -173,37 +173,15 @@ func TestSearchDeterministic(t *testing.T) {
 // plans of the canonical layout with the surrogate, measure all of them
 // exhaustively on the packed simulator (averaged over seeds), and
 // require that the surrogate's top picks include a plan statistically
-// indistinguishable from the true measured best.
+// indistinguishable from the true measured best. The 104 testbed runs
+// are independent and individually seeded, so they run as one batch.
 func TestFigure8TopKContainsBest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("104 testbed runs")
+	}
 	s := redisSocialSearcher(t, Config{})
 	grid := []float64{0, 0.5, 1.5, 3, 4.5}
 	seeds := []uint64{11, 22, 33, 44}
-
-	// Measured baseline p95s per seed, shared across plans.
-	base := make([][2]float64, len(seeds))
-	for j, seed := range seeds {
-		cond := s.Condition(s.basePlan, 250)
-		cond.Seed = seed
-		run, err := testbed.Run(cond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base[j] = [2]float64{run.Services[0].P95Response(), run.Services[1].P95Response()}
-	}
-	measure := func(p Plan) float64 {
-		var score float64
-		for j, seed := range seeds {
-			cond := s.Condition(p, 250)
-			cond.Seed = seed
-			run, err := testbed.Run(cond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			score += math.Sqrt(base[j][0] / run.Services[0].P95Response() *
-				base[j][1] / run.Services[1].P95Response())
-		}
-		return score / float64(len(seeds))
-	}
 
 	var plans []Plan
 	for _, ta := range grid {
@@ -215,10 +193,34 @@ func TestFigure8TopKContainsBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Run j of plan i (the baseline first) sits at (i*len(seeds) + j).
+	var conds []testbed.Condition
+	for _, p := range append([]Plan{s.basePlan}, plans...) {
+		for _, seed := range seeds {
+			cond := s.Condition(p, 250)
+			cond.Seed = seed
+			conds = append(conds, cond)
+		}
+	}
+	runs, err := testbed.RunBatch(0, conds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p95 := func(i, j int) (float64, float64) {
+		r := runs[i*len(seeds)+j]
+		return r.Services[0].P95Response(), r.Services[1].P95Response()
+	}
 	meas := map[Plan]float64{}
 	best := 0.0
-	for _, p := range plans {
-		meas[p] = measure(p)
+	for i, p := range plans {
+		var score float64
+		for j := range seeds {
+			baseA, baseB := p95(0, j)
+			a, b := p95(i+1, j)
+			score += math.Sqrt(baseA / a * baseB / b)
+		}
+		meas[p] = score / float64(len(seeds))
 		if meas[p] > best {
 			best = meas[p]
 		}

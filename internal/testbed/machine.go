@@ -422,13 +422,14 @@ func layoutMasks(cond Condition) ([]cat.MaskPolicy, error) {
 		}
 		return ml.Policies, nil
 	}
-	var layout cat.Layout
-	var err error
-	if cond.PrivateWaysBySvc != nil {
-		layout, err = cat.PlanChainAsym(cond.Processor.Ways, cond.PrivateWaysBySvc, cond.SharedWays)
-	} else {
-		layout, err = cat.PlanChain(cond.Processor.Ways, n, cond.PrivateWays, cond.SharedWays)
+	privs := cond.PrivateWaysBySvc
+	if privs == nil {
+		privs = make([]int, n)
+		for i := range privs {
+			privs[i] = cond.PrivateWays
+		}
 	}
+	layout, err := cat.PlanChainAsym(cond.Processor.Ways, privs, cond.SharedWays)
 	if err != nil {
 		return nil, err
 	}
@@ -610,12 +611,7 @@ func (m *Machine) Run() (*RunResult, error) {
 				rot++
 				now += quantum
 				if !m.lean && now >= nextSample {
-					span := now - m.windowStart
-					for _, s := range m.svcs {
-						m.sample(s, span)
-					}
-					m.windowStart = now
-					m.windowSpans = append(m.windowSpans, span)
+					m.closeWindow(now)
 					nextSample += cond.SamplePeriod
 				}
 			}
@@ -656,12 +652,7 @@ func (m *Machine) Run() (*RunResult, error) {
 
 		now += quantum
 		if !m.lean && now >= nextSample {
-			span := now - m.windowStart
-			for _, s := range m.svcs {
-				m.sample(s, span)
-			}
-			m.windowStart = now
-			m.windowSpans = append(m.windowSpans, span)
+			m.closeWindow(now)
 			nextSample += cond.SamplePeriod
 		}
 	}
@@ -673,12 +664,8 @@ func (m *Machine) Run() (*RunResult, error) {
 	// measured-query attribution is finalised. Lean runs track no
 	// windows: reap already retired every finished execution.
 	if !m.lean {
-		if span := now - m.windowStart; span > 0 {
-			for _, s := range m.svcs {
-				m.sample(s, span)
-			}
-			m.windowStart = now
-			m.windowSpans = append(m.windowSpans, span)
+		if now > m.windowStart {
+			m.closeWindow(now)
 		} else {
 			for _, s := range m.svcs {
 				m.finalizeWindow(s)
@@ -978,6 +965,17 @@ func (m *Machine) snapshot(s *service) counters.Sample {
 	out[counters.L1ILoads] = s.instr * 0.25
 	out[counters.L1IMisses] = s.instr * 0.25 * 0.002
 	return out
+}
+
+// closeWindow ends the counter window at simulated time now: every
+// service samples its counters over the window and the next one starts.
+func (m *Machine) closeWindow(now float64) {
+	span := now - m.windowStart
+	for _, s := range m.svcs {
+		m.sample(s, span)
+	}
+	m.windowStart = now
+	m.windowSpans = append(m.windowSpans, span)
 }
 
 // sample closes a counter window spanning `span` simulated seconds:

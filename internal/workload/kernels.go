@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"stac/internal/stats"
 )
@@ -35,6 +36,28 @@ type Kernel struct {
 	// NewPattern builds a fresh address-stream generator rooted at the
 	// given base address.
 	NewPattern func(base uint64) Pattern
+}
+
+// DemandCV estimates the coefficient of variation of the query demand
+// from a fixed 512-draw sample seeded with seed, or returns 0.3 when the
+// sample is degenerate. Per-query service time is demand × mean access
+// cost, so this is also the service-time CV the queueing models use (the
+// per-access level mixture averages out over thousands of accesses).
+func (k Kernel) DemandCV(seed uint64) float64 {
+	r := stats.NewRNG(seed)
+	var sum, sq float64
+	const draws = 512
+	for i := 0; i < draws; i++ {
+		d := k.Demand.Sample(r)
+		sum += d
+		sq += d * d
+	}
+	mean := sum / draws
+	varc := sq/draws - mean*mean
+	if mean <= 0 || varc <= 0 {
+		return 0.3
+	}
+	return math.Sqrt(varc) / mean
 }
 
 // Names lists the kernel identifiers in Table 1 order.
