@@ -7,7 +7,7 @@
 //
 //	stac experiment <id|all> [-seed N] [-thorough] [-workers N]
 //	stac pipeline -a <kernel> -b <kernel> [-points N] [-load ρ] [-seed N] [-workers N]
-//	stac search -a <kernel> -b <kernel> [-topk N] [-sampled rate] [-validate]
+//	stac search -a <kernel> -b <kernel> [-topk N] [-accesses N] [-validate]
 //	stac workloads
 //	stac list
 package main

@@ -61,16 +61,6 @@ func TestCmdSearchSmoke(t *testing.T) {
 	}
 }
 
-func TestCmdSearchSampledSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("search smoke is a few seconds")
-	}
-	if err := cmdSearch([]string{"-a", "redis", "-b", "social", "-sampled", "0.25",
-		"-topk", "1", "-validate=false"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCmdSearchRejectsNegativeTopK is a regression test: -topk -1 used to
 // sweep every plan, run the baseline on the testbed and then panic in
 // Searcher.Validate. It must fail fast with an error instead.

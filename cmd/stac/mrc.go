@@ -6,7 +6,6 @@ import (
 
 	"stac"
 	"stac/internal/mrc"
-	"stac/internal/stats"
 )
 
 // cmdMRC prints exact fully-associative LRU miss-ratio curves for the
@@ -31,16 +30,10 @@ func cmdMRC(args []string) error {
 	fmt.Println("   (fully-associative LRU miss ratio)")
 
 	for _, k := range stac.Workloads() {
-		a, err := mrc.NewAnalyzer(64)
+		curve, err := mrc.KernelCurve(k, 64, *accesses, *seed)
 		if err != nil {
 			return err
 		}
-		pat := k.NewPattern(0)
-		r := stats.NewRNG(*seed)
-		for i := 0; i < *accesses; i++ {
-			a.Access(pat.Next(r).Addr)
-		}
-		curve := a.Curve()
 		fmt.Printf("%-10s", k.Name)
 		for _, v := range curve.At(capacities) {
 			fmt.Printf("  %8.1f%%", 100*v)

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"stac"
-	"stac/internal/mrc"
-	"stac/internal/surrogate"
 )
 
 // cmdSearch runs the surrogate fast path: enumerate every CAT mask plan
@@ -22,8 +20,6 @@ func cmdSearch(args []string) error {
 	topk := fs.Int("topk", 5, "plans to show and validate")
 	validate := fs.Bool("validate", true, "re-measure the top plans on the full testbed")
 	queries := fs.Int("queries", 150, "validation run length (queries per service)")
-	sampled := fs.Float64("sampled", 0, "SHARDS sampling rate for the miss-ratio curves (0 = exact Mattson)")
-	intervals := fs.Bool("intervals", false, "build curves from representative intervals (cheapest)")
 	accesses := fs.Int("accesses", 40000, "miss-ratio trace length per kernel")
 	seed := fs.Uint64("seed", 1, "random seed")
 	registerObsFlags(fs)
@@ -51,16 +47,6 @@ func cmdSearch(args []string) error {
 		LoadA: *load, LoadB: *load,
 		Accesses: *accesses, Seed: *seed,
 	}
-	curveKind := "exact"
-	switch {
-	case *intervals:
-		cfg.Intervals = &surrogate.IntervalConfig{}
-		curveKind = "representative-interval"
-	case *sampled > 0:
-		cfg.Sampler = &mrc.SamplerConfig{Rate: *sampled}
-		curveKind = fmt.Sprintf("SHARDS rate %g", *sampled)
-	}
-
 	setupStart := time.Now()
 	s, err := stac.NewSearcher(cfg)
 	if err != nil {
@@ -75,8 +61,7 @@ func cmdSearch(args []string) error {
 		return err
 	}
 	elapsed := time.Since(searchStart)
-	fmt.Printf("%s + %s at load %.2f: %d plans (%s curves)\n",
-		ka.Name, kb.Name, *load, len(plans), curveKind)
+	fmt.Printf("%s + %s at load %.2f: %d plans\n", ka.Name, kb.Name, *load, len(plans))
 	fmt.Printf("setup %v, search %v (%v/plan, %d fresh queueing sims)\n",
 		setup.Round(time.Millisecond), elapsed.Round(time.Millisecond),
 		(elapsed / time.Duration(len(plans))).Round(time.Microsecond), s.SimRuns())

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"stac/internal/obs"
 )
 
 // TestSpeculationOutcomes pins that both outcomes of the epoch pipeline
@@ -14,51 +12,28 @@ import (
 // speculated under the old placement, so its started runs are
 // discarded, while balance never moves a service and keeps every
 // speculative run, and locality speculates nothing. Whatever the
-// outcome, only adopted runs count as
-// fleet node runs, and the testbed runs exactly the adopted runs plus
-// the discarded ones.
+// outcome, only adopted runs count as fleet node runs, and the testbed
+// runs exactly the adopted runs plus the discarded ones. It reads the
+// counters of the golden runs TestFleetWorkerInvariant checks, at 1, 2
+// and 8 workers.
 func TestSpeculationOutcomes(t *testing.T) {
-	specRuns := obs.C("fleet/speculative_runs")
-	discards := obs.C("fleet/speculative_discards")
-	nodeRuns := obs.C("fleet/node_runs")
-	testbedRuns := obs.C("testbed/runs")
-	for _, tc := range []struct {
-		name         string
-		wantDiscards bool
-	}{
-		{"hotshift", true},
-		{"balance", false},
-		{"locality", false},
-	} {
-		for _, workers := range []int{1, 2} {
-			cfg := goldenFleetConfigs()[tc.name]
-			cfg.Workers = workers
-			spec0, disc0 := specRuns.Load(), discards.Load()
-			node0, tb0 := nodeRuns.Load(), testbedRuns.Load()
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			spec, disc := specRuns.Load()-spec0, discards.Load()-disc0
-			node, tb := nodeRuns.Load()-node0, testbedRuns.Load()-tb0
-			if got := fleetDigest(res); got != goldenFleet[tc.name] {
-				t.Errorf("%s workers=%d: digest %s, want %s", tc.name, workers, got, goldenFleet[tc.name])
-			}
-			if tc.wantDiscards != (disc > 0) {
-				t.Errorf("%s workers=%d: %d speculative runs discarded, want discards=%v",
-					tc.name, workers, disc, tc.wantDiscards)
-			}
-			if tc.name == "locality" && spec != 0 {
-				t.Errorf("locality workers=%d: %d speculative runs; Locality routes on the previous epoch's warmth and must not speculate",
-					workers, spec)
-			}
-			if tc.name == "balance" && spec == 0 {
-				t.Errorf("balance workers=%d: nothing speculated", workers)
-			}
-			if tb != node+disc {
-				t.Errorf("%s workers=%d: testbed ran %d runs, want %d adopted + %d discarded",
-					tc.name, workers, tb, node, disc)
-			}
+	for _, r := range goldenRuns() {
+		if r.err != nil {
+			t.Fatalf("%s workers=%d: %v", r.name, r.workers, r.err)
+		}
+		switch {
+		case r.name == "hotshift" && r.discards == 0:
+			t.Errorf("hotshift workers=%d: no speculative run discarded after the SLA move", r.workers)
+		case r.name == "balance" && (r.spec == 0 || r.discards != 0):
+			t.Errorf("balance workers=%d: %d speculative runs, %d discarded; want some, none discarded",
+				r.workers, r.spec, r.discards)
+		case r.name == "locality" && r.spec != 0:
+			t.Errorf("locality workers=%d: %d speculative runs; Locality routes on the previous epoch's warmth and must not speculate",
+				r.workers, r.spec)
+		}
+		if r.testbed != r.nodeRuns+r.discards {
+			t.Errorf("%s workers=%d: testbed ran %d runs, want %d adopted + %d discarded",
+				r.name, r.workers, r.testbed, r.nodeRuns, r.discards)
 		}
 	}
 }

@@ -57,19 +57,3 @@ func BenchmarkExactIngest(b *testing.B) {
 		IngestPattern(a, workload.Redis().NewPattern(0), 50000, 13)
 	}
 }
-
-// BenchmarkSampledIngest measures the SHARDS pass at the default rate
-// (0.1) over the identical stream — the tentpole's constant-fraction
-// claim in one number.
-func BenchmarkSampledIngest(b *testing.B) {
-	a, err := NewSampled(SamplerConfig{LineSize: 64, Rate: 0.1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Reset()
-		IngestPattern(a, workload.Redis().NewPattern(0), 50000, 13)
-	}
-}

@@ -1,22 +1,17 @@
 package mrc
 
 import (
+	"fmt"
+
 	"stac/internal/stats"
 	"stac/internal/workload"
 )
 
-// Ingestor is anything that can consume a stream of byte addresses:
-// *Analyzer and *SampledAnalyzer both qualify, as do fan-out adapters
-// that feed several analyzers at once.
-type Ingestor interface {
-	Access(addr uint64)
-}
-
 // IngestPattern streams n accesses of a workload pattern into dst. The
 // pattern's randomness is driven by a fresh RNG with the given seed, so
-// exact and sampled analyzers fed with the same (pattern factory, n,
-// seed) observe the identical address stream.
-func IngestPattern(dst Ingestor, pat workload.Pattern, n int, seed uint64) {
+// the same (pattern factory, n, seed) always yields the same address
+// stream.
+func IngestPattern(dst *Analyzer, pat workload.Pattern, n int, seed uint64) {
 	r := stats.NewRNG(seed)
 	for i := 0; i < n; i++ {
 		dst.Access(pat.Next(r).Addr)
@@ -24,8 +19,12 @@ func IngestPattern(dst Ingestor, pat workload.Pattern, n int, seed uint64) {
 }
 
 // KernelCurve computes the exact miss-ratio curve of a kernel's solo
-// address stream over the given number of accesses.
+// address stream over the given number of accesses, which must be
+// positive: an empty trace has miss ratio 0 at every capacity.
 func KernelCurve(k workload.Kernel, lineSize, accesses int, seed uint64) (*Curve, error) {
+	if accesses <= 0 {
+		return nil, fmt.Errorf("mrc: %d accesses, want a positive trace length", accesses)
+	}
 	a, err := NewAnalyzer(lineSize)
 	if err != nil {
 		return nil, err

@@ -1,31 +1,20 @@
-// Package mrc computes LRU miss-ratio curves in one pass over an access
-// trace. The exact path uses Mattson's stack-distance algorithm: the
-// stack distance of an access is the number of distinct lines touched
-// since the previous access to the same line; a fully-associative LRU
-// cache of capacity C lines misses exactly when the distance is ≥ C (or
-// the line is cold). One pass therefore yields the miss ratio at *every*
-// capacity simultaneously — the analysis tool behind the miss-curve
-// intuition the short-term allocation policies exploit.
+// Package mrc computes exact LRU miss-ratio curves in one pass over an
+// access trace with Mattson's stack-distance algorithm: the stack
+// distance of an access is the number of distinct lines touched since
+// the previous access to the same line; a fully-associative LRU cache of
+// capacity C lines misses exactly when the distance is ≥ C (or the line
+// is cold). One pass therefore yields the miss ratio at *every* capacity
+// simultaneously — the analysis tool behind the miss-curve intuition the
+// short-term allocation policies exploit.
 //
-// The exact implementation keeps per-line last-access timestamps and
-// counts still-resident lines with a Fenwick tree over timestamps, giving
-// O(log n) per access. SampledAnalyzer approximates the same curve with
-// SHARDS-style spatial hash sampling (Waldspurger et al., FAST '15) at a
-// small constant fraction of the exact cost — see sampled.go.
+// The analyzer keeps per-line last-access timestamps and counts
+// still-resident lines with a Fenwick tree over timestamps, giving
+// O(log n) per access.
 package mrc
 
 import (
 	"fmt"
 )
-
-// CapacityCurve is any miss-ratio curve that can be evaluated at a cache
-// capacity expressed in lines. *Curve (exact) and *SampledCurve (SHARDS)
-// both satisfy it; the surrogate models consume either interchangeably.
-type CapacityCurve interface {
-	// MissRatio returns the fully-associative LRU miss ratio at a
-	// capacity of c lines.
-	MissRatio(capacityLines int) float64
-}
 
 // Curve is the result of a stack-distance pass. It is a point-in-time
 // view: further Access or Reset calls on the analyzer that produced it

@@ -210,6 +210,16 @@ func TestNewAnalyzerValidation(t *testing.T) {
 	}
 }
 
+// TestKernelCurveRejectsEmptyTrace: a curve over no accesses has every
+// miss ratio 0, which a model would read as a perfectly cached kernel.
+func TestKernelCurveRejectsEmptyTrace(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if _, err := KernelCurve(workload.Redis(), 64, n, 13); err == nil {
+			t.Errorf("KernelCurve accepted %d accesses", n)
+		}
+	}
+}
+
 func TestAtConvenience(t *testing.T) {
 	a, _ := NewAnalyzer(64)
 	for _, l := range []uint64{0, 64, 0} {
@@ -218,5 +228,44 @@ func TestAtConvenience(t *testing.T) {
 	vals := a.Curve().At([]int{1, 2})
 	if len(vals) != 2 || vals[0] < vals[1] {
 		t.Fatalf("At = %v", vals)
+	}
+}
+
+// TestAnalyzerReset: a reset analyzer must reproduce a fresh analyzer's
+// curve bit-for-bit.
+func TestAnalyzerReset(t *testing.T) {
+	reused, _ := NewAnalyzer(64)
+	IngestPattern(reused, workload.Kmeans().NewPattern(0), 20000, 5)
+	reused.Reset()
+	IngestPattern(reused, workload.BFS().NewPattern(0), 15000, 9)
+	fresh, _ := NewAnalyzer(64)
+	IngestPattern(fresh, workload.BFS().NewPattern(0), 15000, 9)
+	a, b := reused.Curve(), fresh.Curve()
+	if a.Cold != b.Cold || a.Total != b.Total || len(a.Hist) != len(b.Hist) {
+		t.Fatalf("reset curve header differs: cold %d/%d total %d/%d", a.Cold, b.Cold, a.Total, b.Total)
+	}
+	for i := range a.Hist {
+		if a.Hist[i] != b.Hist[i] {
+			t.Fatalf("hist[%d]: %v vs %v", i, a.Hist[i], b.Hist[i])
+		}
+	}
+}
+
+// TestMissRatioCumMatchesScan: the O(1) cumulative-array path must agree
+// with the O(n) suffix-scan reference at every capacity, across ingest /
+// query / ingest interleavings (the ingest invalidates the array).
+func TestMissRatioCumMatchesScan(t *testing.T) {
+	a, _ := NewAnalyzer(64)
+	r := stats.NewRNG(17)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5000; i++ {
+			a.Access(uint64(r.Intn(800)) * 64)
+		}
+		c := a.Curve()
+		for capLines := 0; capLines <= len(c.Hist)+2; capLines++ {
+			if got, want := c.MissRatio(capLines), c.missRatioScan(capLines); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("round %d capacity %d: cum %.9f != scan %.9f", round, capLines, got, want)
+			}
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"stac/internal/mrc"
 	"stac/internal/surrogate"
 	"stac/internal/workload"
 )
@@ -35,10 +34,16 @@ type Server struct {
 
 type searchKey struct {
 	kernelA, kernelB string
-	load, sampled    float64
+	load             float64
 	accesses         int
 	seed             uint64
 }
+
+// maxSearchAccesses bounds a /search body's miss-ratio trace length.
+// A curve's build time and its Fenwick tree (8 B per access) grow with
+// the length, and the build holds searchMu: at the bound one kernel's
+// curve took 0.22 s on a 2-vCPU host.
+const maxSearchAccesses = 1_000_000
 
 // NewServer wraps an engine with the HTTP front end.
 func NewServer(e *Engine) *Server { return &Server{engine: e} }
@@ -104,9 +109,6 @@ type SearchRequest struct {
 	TopK     int     `json:"top_k,omitempty"`
 	Accesses int     `json:"accesses,omitempty"`
 	Seed     uint64  `json:"seed,omitempty"`
-	// Sampled selects SHARDS-sampled miss-ratio curves at this rate
-	// (0 = exact Mattson stacks).
-	Sampled float64 `json:"sampled,omitempty"`
 }
 
 // SearchPlan is one ranked plan in a SearchResponse.
@@ -166,10 +168,13 @@ func (s *Server) search(req SearchRequest) (SearchResponse, *Error) {
 	if req.Load <= 0 || req.Load >= 1 {
 		return SearchResponse{}, errBadRequest("load must be in (0,1)")
 	}
+	if req.Accesses > maxSearchAccesses {
+		return SearchResponse{}, errBadRequest(fmt.Sprintf("accesses must be at most %d", maxSearchAccesses))
+	}
 
 	s.searchMu.Lock()
 	defer s.searchMu.Unlock()
-	key := searchKey{req.KernelA, req.KernelB, req.Load, req.Sampled, req.Accesses, req.Seed}
+	key := searchKey{req.KernelA, req.KernelB, req.Load, req.Accesses, req.Seed}
 	if s.searcher == nil || s.searchCfg != key {
 		cfg := surrogate.Config{
 			KernelA: ka, KernelB: kb,
@@ -178,9 +183,6 @@ func (s *Server) search(req SearchRequest) (SearchResponse, *Error) {
 			// Leave a core to the predicts: a sweep on every core
 			// starves them past their deadlines.
 			Workers: max(1, runtime.GOMAXPROCS(0)-1),
-		}
-		if req.Sampled > 0 {
-			cfg.Sampler = &mrc.SamplerConfig{Rate: req.Sampled}
 		}
 		sr, err := surrogate.New(cfg)
 		if err != nil {

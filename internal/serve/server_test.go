@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"stac/internal/obs"
 )
@@ -181,38 +181,35 @@ func TestHTTPReloadWithoutPathsFails(t *testing.T) {
 	}
 }
 
-func postSearch(t *testing.T, url, body string) SearchResponse {
-	t.Helper()
-	resp, err := http.Post(url+"/search", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search %s: status %d", body, resp.StatusCode)
-	}
-	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	return sr
-}
-
-// TestHTTPSearchKeysOnCurveSource is a regression test: the server
-// cached its searcher without the sampling rate, so a sampled search
-// after an exact one for the same pair returned the exact ranking.
-func TestHTTPSearchKeysOnCurveSource(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three full surrogate sweeps")
-	}
-	const exact = `{"kernel_a":"redis","kernel_b":"social","top_k":3}`
-	const sampled = `{"kernel_a":"redis","kernel_b":"social","top_k":3,"sampled":0.05}`
-	_, warm := newTestServer(t)
-	postSearch(t, warm.URL, exact)
-	got := postSearch(t, warm.URL, sampled)
-	_, fresh := newTestServer(t)
-	want := postSearch(t, fresh.URL, sampled)
-	if !reflect.DeepEqual(got.Plans, want.Plans) {
-		t.Errorf("sampled search after an exact one:\n got  %+v\n want %+v", got.Plans, want.Plans)
+// TestHTTPSearchRejectsBadBodies: /search refuses a field it does not
+// take (an old client's "sampled" rate) and a trace longer than
+// maxSearchAccesses with a 400 naming the field, at once and before it
+// builds a searcher.
+func TestHTTPSearchRejectsBadBodies(t *testing.T) {
+	for _, tc := range []struct{ body, field string }{
+		{`{"kernel_a":"redis","kernel_b":"social","sampled":0.05}`, "sampled"},
+		{`{"kernel_a":"redis","kernel_b":"social","accesses":2000000000}`, "accesses"},
+	} {
+		s, ts := newTestServer(t)
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/search", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := decodeError(t, resp)
+		resp.Body.Close()
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: refused after %v, want within 1 s", tc.field, elapsed)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest || !strings.Contains(e.Message, tc.field) {
+			t.Errorf("%s: status %d code %s message %q, want 400 %s naming the field",
+				tc.field, resp.StatusCode, e.Code, e.Message, CodeBadRequest)
+		}
+		s.searchMu.Lock()
+		built := s.searcher != nil
+		s.searchMu.Unlock()
+		if built {
+			t.Errorf("%s: a searcher was built", tc.field)
+		}
 	}
 }

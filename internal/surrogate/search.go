@@ -54,21 +54,15 @@ type Config struct {
 	LoadA, LoadB     float64
 	// Accesses is the MRC trace length per kernel (default 40000).
 	Accesses int
-	// Sampler, when non-nil, builds the curves with SHARDS sampling (a
-	// 4-seed averaged set) instead of the exact Mattson pass.
-	Sampler *mrc.SamplerConfig
-	// Intervals, when non-nil, builds each curve from representative
-	// intervals (SelectIntervals): the trace is clustered into K windows
-	// and only the representatives are profiled — the cheapest curve
-	// source, at the cost of treating cross-window reuse as cold.
-	Intervals *IntervalConfig
 	// SimQueries is the Stage-3 simulation length per plan evaluation
 	// (default 1500).
 	SimQueries int
 	// Grid is the timeout grid EnumeratePlans sweeps (default the paper's
 	// 5-point grid, §5.2).
 	Grid []float64
-	// Seed drives curve construction, anchoring and the queueing sims.
+	// Seed drives the anchor calibrations, the service CVs and the
+	// validation runs; the curves and the sweep's simulations use fixed
+	// seeds.
 	Seed uint64
 	// Workers bounds each of the searcher's fan-outs: the two services'
 	// set-up, the per-way anchor calibrations, the sweep's simulations
@@ -188,8 +182,8 @@ type Searcher struct {
 // servers is the per-service parallelism of the evaluation conditions.
 const servers = 2
 
-// New builds the surrogate searcher: two miss-ratio curves (exact or
-// sampled), two anchored models, and the no-sharing baseline prediction.
+// New builds the surrogate searcher: two exact miss-ratio curves, two
+// anchored models, and the no-sharing baseline prediction.
 func New(cfg Config) (*Searcher, error) {
 	cfg = cfg.defaults()
 	// Negated so that NaN loads fail too.
@@ -203,7 +197,7 @@ func New(cfg Config) (*Searcher, error) {
 	// meets them.
 	kernels := [2]workload.Kernel{cfg.KernelA, cfg.KernelB}
 	err := par.ForEach(cfg.Workers, 2, func(i int) error {
-		curve, err := kernelCurve(cfg, i, kernels[i])
+		curve, err := mrc.KernelCurve(kernels[i], testbed.LineSize, cfg.Accesses, 13)
 		if err != nil {
 			return err
 		}
@@ -224,35 +218,6 @@ func New(cfg Config) (*Searcher, error) {
 	}
 	s.baseP95 = base[0].P95
 	return s, nil
-}
-
-// kernelCurve builds service i's miss-ratio curve, of kernel k, from the
-// source cfg selects: representative intervals, SHARDS sampling or the
-// exact Mattson pass.
-func kernelCurve(cfg Config, i int, k workload.Kernel) (mrc.CapacityCurve, error) {
-	switch {
-	case cfg.Intervals != nil:
-		ic := *cfg.Intervals
-		ic.Seed = cfg.Seed + uint64(i)*101
-		if ic.LineSize == 0 {
-			ic.LineSize = testbed.LineSize
-		}
-		return SelectIntervals(k.NewPattern(0), cfg.Accesses, ic)
-	case cfg.Sampler != nil:
-		sc := *cfg.Sampler
-		if sc.LineSize == 0 {
-			sc.LineSize = testbed.LineSize
-		}
-		sc.Seed = cfg.Seed + uint64(i)*101
-		set, err := mrc.NewSampledSet(sc, 4)
-		if err != nil {
-			return nil, err
-		}
-		mrc.IngestPattern(set, k.NewPattern(0), cfg.Accesses, 13)
-		return set.Curve(), nil
-	default:
-		return mrc.KernelCurve(k, testbed.LineSize, cfg.Accesses, 13)
-	}
 }
 
 // SimRuns reports how many queueing simulations the evaluations ran, one

@@ -1,6 +1,6 @@
 // Package surrogate implements the analytical fast path for policy
-// search: miss-ratio curves (exact Mattson or SHARDS-sampled, package
-// mrc) are converted into predicted per-service cycles-per-access under
+// search: exact miss-ratio curves (Mattson stack distances, package mrc)
+// are converted into predicted per-service cycles-per-access under
 // any way allocation by a fully-associative multi-level cache model in
 // the spirit of Gysi et al., "A Fast Analytical Model of Fully
 // Associative Caches". The predicted service times feed the Stage-3
@@ -42,7 +42,7 @@ import (
 type Model struct {
 	proc   testbed.Processor
 	kernel workload.Kernel
-	curve  mrc.CapacityCurve
+	curve  *mrc.Curve
 
 	l1Lines, l2Lines, linesPerWay int
 
@@ -62,9 +62,8 @@ type ModelConfig struct {
 
 // NewModel builds an anchored analytical model for the kernel on the
 // processor. curve must be the kernel's solo miss-ratio curve at the
-// testbed line size: mrc.KernelCurve, a SampledSet's Curve, or a
-// weighted interval estimate.
-func NewModel(proc testbed.Processor, k workload.Kernel, curve mrc.CapacityCurve, cfg ModelConfig) (*Model, error) {
+// testbed line size, as mrc.KernelCurve computes it.
+func NewModel(proc testbed.Processor, k workload.Kernel, curve *mrc.Curve, cfg ModelConfig) (*Model, error) {
 	if curve == nil {
 		return nil, fmt.Errorf("surrogate: nil miss-ratio curve")
 	}
@@ -117,8 +116,9 @@ func (m *Model) CyclesAtLines(llcLines int, pressure float64) float64 {
 	mr1 := m.curve.MissRatio(m.l1Lines)
 	mr2 := m.curve.MissRatio(m.l2Lines)
 	mrl := m.curve.MissRatio(llcLines)
-	// Curves are monotone, but clamp against estimator noise so hit
-	// fractions stay a distribution.
+	// The curve falls with capacity, so the clamps bind only when the LLC
+	// allocation holds fewer lines than L2; they keep the hit fractions a
+	// distribution.
 	if mr2 > mr1 {
 		mr2 = mr1
 	}

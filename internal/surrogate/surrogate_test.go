@@ -85,31 +85,6 @@ func TestModelPhysics(t *testing.T) {
 	}
 }
 
-// A model built on the 4-seed sampled curve must predict miss ratios
-// close to the exact model's at every whole-way capacity (the sampled
-// curve's documented point-error bound).
-func TestModelSampledCurveClose(t *testing.T) {
-	proc := testbed.XeonE5_2683()
-	for _, k := range []workload.Kernel{workload.Redis(), workload.Social(), workload.BFS()} {
-		exact := exactModel(t, k, 7)
-		set, err := mrc.NewSampledSet(mrc.SamplerConfig{LineSize: testbed.LineSize, Rate: 0.25, Seed: 99}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mrc.IngestPattern(set, k.NewPattern(0), 40000, 13)
-		sm, err := NewModel(proc, k, set.Curve(), ModelConfig{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ways := 1; ways <= proc.Ways; ways++ {
-			d := math.Abs(exact.MissRatio(ways) - sm.MissRatio(ways))
-			if d > 0.15 {
-				t.Errorf("%s at %d ways: sampled model miss ratio off by %.3f", k.Name, ways, d)
-			}
-		}
-	}
-}
-
 func redisSocialSearcher(t *testing.T, cfg Config) *Searcher {
 	t.Helper()
 	if cfg.KernelA.Name == "" {
@@ -426,41 +401,15 @@ func TestValidateRejectsNegativeK(t *testing.T) {
 	}
 }
 
-func TestSearcherSampledAndIntervalPaths(t *testing.T) {
-	exact := redisSocialSearcher(t, Config{})
-	plans := []Plan{
-		{PrivA: 2, PrivB: 2, Shared: 2, TimeoutA: 0.5, TimeoutB: 0.5},
-		{PrivA: 4, PrivB: 8, Shared: 8, TimeoutA: 0, TimeoutB: 1.5},
-	}
-	for _, cfg := range []Config{
-		{Sampler: &mrc.SamplerConfig{Rate: 0.25}},
-		{Intervals: &IntervalConfig{Windows: 32, K: 8}},
-	} {
-		s := redisSocialSearcher(t, cfg)
-		for _, p := range plans {
-			e, err := exact.Evaluate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := s.Evaluate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 2; i++ {
-				if rel := math.Abs(a.P95[i]-e.P95[i]) / e.P95[i]; rel > 0.6 {
-					t.Errorf("approximate curve path diverges on %v service %d: %.3g vs %.3g",
-						p, i, a.P95[i], e.P95[i])
-				}
-			}
-		}
-	}
-}
-
 func TestSearcherRejectsBadConfig(t *testing.T) {
 	for _, loads := range [][2]float64{{1.2, 0.5}, {0.5, math.NaN()}} {
 		if _, err := New(Config{KernelA: workload.Redis(), KernelB: workload.BFS(), LoadA: loads[0], LoadB: loads[1]}); err == nil {
 			t.Fatalf("loads %v accepted", loads)
 		}
+	}
+	// An empty trace would rank plans on curves that never miss.
+	if _, err := New(Config{KernelA: workload.Redis(), KernelB: workload.Social(), Accesses: -1}); err == nil {
+		t.Fatal("Accesses -1 accepted")
 	}
 	s := redisSocialSearcher(t, Config{})
 	for _, p := range []Plan{

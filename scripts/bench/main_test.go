@@ -90,15 +90,23 @@ func committed(t *testing.T, file string) File {
 }
 
 // TestCommittedFiles checks that every committed BENCH file decodes into
-// File with no unknown field and covers everything its group runs.
+// File with no unknown field, covers everything its group runs and holds
+// no benchmark that its group no longer defines.
 func TestCommittedFiles(t *testing.T) {
 	for file, pkgs := range groups {
 		f := committed(t, file)
+		live := map[string]bool{}
 		for _, pkg := range pkgs {
 			for name := range defined(t, filepath.Join(root, pkg), false) {
+				live[name] = true
 				if f.Benchmarks[name].Samples == 0 {
 					t.Errorf("%s has no samples of %s (%s)", file, name, pkg)
 				}
+			}
+		}
+		for name := range f.Benchmarks {
+			if !live[name] {
+				t.Errorf("%s holds %s, which no package of its group defines", file, name)
 			}
 		}
 	}

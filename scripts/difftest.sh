@@ -15,10 +15,9 @@
 #   scripts/difftest.sh -fuzz      standard sweep, then 2 minutes of
 #                                  coverage-guided fuzzing per target
 #   scripts/difftest.sh -surrogate surrogate-vs-simulator sweep only: the
-#                                  sampled-MRC convergence properties and
-#                                  the surrogate search's differential
-#                                  gates (anchor identity, Figure-8 top-k
-#                                  vs exhaustive testbed measurement)
+#                                  surrogate search's differential gates
+#                                  (anchor identity, Figure-8 top-k vs
+#                                  exhaustive testbed measurement)
 #
 # Environment:
 #   STAC_DIFFTEST_ACCESSES  override the per-test access budget
@@ -56,14 +55,11 @@ run() {
 
 export STAC_DIFFTEST_ACCESSES="$ACCESSES"
 
-# Surrogate-vs-simulator sweep: SHARDS estimates against exact Mattson
-# curves, the analytical model against its solo-calibration ground truth,
-# and the surrogate ranking against exhaustive testbed measurement of the
-# Figure-8 grid. Runs standalone with -surrogate and rides along with the
-# full sweep otherwise.
+# Surrogate-vs-simulator sweep: the analytical model against its
+# solo-calibration ground truth, and the surrogate ranking against
+# exhaustive testbed measurement of the Figure-8 grid. Runs standalone
+# with -surrogate and rides along with the full sweep otherwise.
 run_surrogate() {
-    run go test ./internal/mrc/ -count=1 -timeout 20m -v \
-        -run 'TestSampledConvergesAllKernels|TestSampledFullRateMatchesExact|TestSampledDeterministicSeedRegression'
     run go test ./internal/surrogate/ -count=1 -timeout 30m -v \
         -run 'TestModelMatchesSoloCalibration|TestFigure8TopKContainsBest|TestValidateTopPlans'
 }

@@ -74,10 +74,10 @@ type (
 	Decision = policy.Decision
 	// PairContext describes a deployment for policy selection.
 	PairContext = policy.PairContext
-	// Searcher is the surrogate fast path: SHARDS-sampled miss-ratio
-	// curves + an anchored analytical cache model + the Stage-3 queueing
-	// simulator, ranking thousands of CAT mask plans without touching the
-	// packed simulator.
+	// Searcher is the surrogate fast path: exact miss-ratio curves + an
+	// anchored analytical cache model + the Stage-3 queueing simulator,
+	// ranking thousands of CAT mask plans without touching the packed
+	// simulator.
 	Searcher = surrogate.Searcher
 	// SearchConfig parameterises a Searcher.
 	SearchConfig = surrogate.Config
@@ -335,9 +335,9 @@ func EvaluatePolicy(ctx PairContext, d Decision) ([2]float64, error) {
 	return policy.Speedups(ctx, d)
 }
 
-// NewSearcher builds the surrogate plan searcher: per-kernel miss-ratio
-// curves (exact, SHARDS-sampled, or representative-interval), solo
-// calibration anchors, and the no-sharing baseline prediction. Use
+// NewSearcher builds the surrogate plan searcher: per-kernel exact
+// miss-ratio curves, solo calibration anchors, and the no-sharing
+// baseline prediction. Use
 // EnumeratePlans + Search to rank the exhaustive plan space and Validate
 // to re-measure the top candidates on the full testbed.
 func NewSearcher(cfg SearchConfig) (*Searcher, error) { return surrogate.New(cfg) }
