@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	stac experiment <id|all> [-seed N] [-thorough] [-workers N]
+//	stac experiment <id|all> [-seed N] [-workers N]
 //	stac pipeline -a <kernel> -b <kernel> [-points N] [-load ρ] [-seed N] [-workers N]
 //	stac search -a <kernel> -b <kernel> [-topk N] [-accesses N] [-validate]
 //	stac workloads
@@ -87,8 +87,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  stac experiment <id|all> [-seed N] [-thorough] [-workers N]
-                                                   regenerate paper tables/figures
+  stac experiment <id|all> [-seed N] [-workers N]  regenerate paper tables/figures
   stac pipeline -a <kernel> -b <kernel> [flags]    run profile -> train -> search -> evaluate
   stac profile -a <kernel> -b <kernel> -out <f>    collect a profiling dataset to disk
   stac train -in <dataset> -model <f>              train a deep-forest EA model
@@ -128,11 +127,10 @@ func cmdExperiment(args []string) error {
 }
 
 // parseExperimentArgs splits experiment ids (which may precede flags)
-// from the -seed/-thorough/-workers options and expands the "all" alias.
+// from the -seed/-workers options and expands the "all" alias.
 func parseExperimentArgs(args []string) ([]string, experiments.Options, error) {
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 2022, "random seed")
-	thorough := fs.Bool("thorough", false, "larger datasets and model budgets (slower)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"parallel workers; results are identical at any count (1 = sequential)")
 	registerObsFlags(fs)
@@ -151,7 +149,7 @@ func parseExperimentArgs(args []string) ([]string, experiments.Options, error) {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.IDs()
 	}
-	return ids, experiments.Options{Seed: *seed, Thorough: *thorough, Workers: *workers}, nil
+	return ids, experiments.Options{Seed: *seed, Workers: *workers}, nil
 }
 
 func cmdPipeline(args []string) error {

@@ -8,14 +8,14 @@ import (
 )
 
 func TestParseExperimentArgs(t *testing.T) {
-	ids, opts, err := parseExperimentArgs([]string{"fig6", "-seed", "7", "-thorough"})
+	ids, opts, err := parseExperimentArgs([]string{"fig6", "-seed", "7", "-workers", "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 1 || ids[0] != "fig6" {
 		t.Fatalf("ids = %v", ids)
 	}
-	if opts.Seed != 7 || !opts.Thorough {
+	if opts.Seed != 7 || opts.Workers != 3 {
 		t.Fatalf("opts = %+v", opts)
 	}
 }

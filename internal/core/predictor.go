@@ -330,15 +330,15 @@ func (p *Predictor) predictEA(s Scenario, nb neighbourhood, dynamic []float64) (
 	if err != nil {
 		return 0, err
 	}
-	ea := p.model.Predict(input)
-	// Clamp to the physically meaningful range.
-	if ea < 0.02 {
-		ea = 0.02
-	}
-	if ea > 1.5 {
-		ea = 1.5
-	}
-	return ea, nil
+	return ClampEA(p.model.Predict(input)), nil
+}
+
+// ClampEA clamps a predicted effective allocation to the physically
+// meaningful range [0.02, 1.5]. Every path that serves a model's EA
+// applies it: the full predictor here and the serving engine's batched
+// /predict path.
+func ClampEA(ea float64) float64 {
+	return min(max(ea, 0.02), 1.5)
 }
 
 // PredictResponse runs the full pipeline: borrow profiles, predict

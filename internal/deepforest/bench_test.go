@@ -8,7 +8,7 @@ import (
 
 // benchProblem is shaped like the experiment pipeline's training input:
 // a handful of static features followed by the 29×20 counters×queries
-// profile matrix, at the default (non-thorough) dataset scale.
+// profile matrix, at the experiments' dataset scale.
 func benchProblem(n int) ([][]float64, []float64, MatrixSpec) {
 	return synthMatrix(n, 6, 29, 20, 2022)
 }

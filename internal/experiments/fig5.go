@@ -24,10 +24,7 @@ func init() {
 func Fig5(opts Options) (*Report, error) {
 	opts = opts.defaults()
 	nPoints, queries := datasetScale(opts)
-	reps := 8
-	if opts.Thorough {
-		reps = 20
-	}
+	const reps = 8
 
 	// Same pair, scale and seed as fig6's first collocation, so the two
 	// figures share one dataset-cache entry.
@@ -61,9 +58,6 @@ func Fig5(opts Options) (*Report, error) {
 		Offset: ds.Schema.MatrixOffset(), Rows: rows, Cols: cols,
 	})
 	cnnCfg.Epochs = 30
-	if opts.Thorough {
-		cnnCfg.Epochs = 60
-	}
 
 	// Every repetition reseeds from its own index, so concurrent reps
 	// train the models the sequential loop would. Accuracy columns are

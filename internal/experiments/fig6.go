@@ -125,14 +125,11 @@ func Fig6(opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	cnnCfg := neural.Config{}
-	if !opts.Thorough {
-		rows, cols := pooledTrain.Schema.MatrixShape()
-		cnnCfg = neural.DefaultConfig(neural.MatrixSpec{
-			Offset: pooledTrain.Schema.MatrixOffset(), Rows: rows, Cols: cols,
-		})
-		cnnCfg.Epochs = 40
-	}
+	rows, cols := pooledTrain.Schema.MatrixShape()
+	cnnCfg := neural.DefaultConfig(neural.MatrixSpec{
+		Offset: pooledTrain.Schema.MatrixOffset(), Rows: rows, Cols: cols,
+	})
+	cnnCfg.Epochs = 40
 	cnn, err := core.TrainCNNResponse(pooledTrain, cnnCfg, stats.NewRNG(seed+5))
 	if err != nil {
 		return nil, err

@@ -123,11 +123,7 @@ func fig7bPlatforms() []fig7bPlatform {
 // core count. Profiles, training and evaluation all happen per platform.
 func Fig7b(opts Options) (*Report, error) {
 	opts = opts.defaults()
-	queries := 60
-	runs := 10
-	if opts.Thorough {
-		queries, runs = 100, 20
-	}
+	const queries, runs = 60, 10
 	kernels := workload.All()
 
 	rep := &Report{

@@ -76,16 +76,13 @@ func Fig8(opts Options) (*Report, error) {
 	if err := par.ForEach(opts.Workers, len(suites), func(si int) error {
 		pair := suites[si]
 		seed := opts.Seed + uint64(si)*4099
-		ctx := policy.PairContext{Seed: seed}
+		ctx := policy.PairContext{QueriesPerService: 160, Seed: seed}
 		var err error
 		ctx.KernelA, ctx.KernelB, err = pair.kernels()
 		if err != nil {
 			return err
 		}
 		ctx = ctx.Defaults()
-		if !opts.Thorough {
-			ctx.QueriesPerService = 160
-		}
 
 		p, sa, sb, err := fig8Pipeline(pair, opts, seed)
 		if err != nil {
@@ -193,16 +190,13 @@ func Fig8e(opts Options) (*Report, error) {
 	if err := par.ForEach(opts.Workers, len(suites), func(si int) error {
 		pair := suites[si]
 		seed := opts.Seed + uint64(si)*6151
-		ctx := policy.PairContext{Seed: seed}
+		ctx := policy.PairContext{QueriesPerService: 160, Seed: seed}
 		var err error
 		ctx.KernelA, ctx.KernelB, err = pair.kernels()
 		if err != nil {
 			return err
 		}
 		ctx = ctx.Defaults()
-		if !opts.Thorough {
-			ctx.QueriesPerService = 160
-		}
 
 		ds, err := collectPairHighLoad(pair, nPoints, queries, seed, opts.Workers)
 		if err != nil {

@@ -154,9 +154,6 @@ func datasetScale(opts Options) (nPoints, queries int) {
 	if opts.scale != nil {
 		return opts.scale[0], opts.scale[1]
 	}
-	if opts.Thorough {
-		return 120, 140
-	}
 	return 54, 100
 }
 
@@ -182,13 +179,6 @@ func trainPipeline(train profile.Dataset, opts Options, seed uint64) (*core.Pred
 func dfConfig(schema profile.Schema, opts Options) deepforest.Config {
 	cfg := deepforest.FastConfig(core.MatrixSpec(schema))
 	cfg.Workers = opts.Workers
-	if opts.Thorough {
-		cfg.CascadeLevels = 3
-		cfg.CascadeTrees = 48
-		for i := range cfg.Windows {
-			cfg.Windows[i].Trees = 24
-		}
-	}
 	return cfg
 }
 

@@ -21,11 +21,7 @@ func init() {
 // but make every boost contend with *all* neighbours.
 func PoolSharing(opts Options) (*Report, error) {
 	opts = opts.defaults()
-	queries := 160
-	reps := 3
-	if opts.Thorough {
-		queries, reps = 260, 5
-	}
+	const queries, reps = 160, 3
 	kernels := []workload.Kernel{workload.Redis(), workload.BFS(), workload.Spkmeans()}
 
 	measure := func(pool bool, timeout float64) ([3]float64, error) {

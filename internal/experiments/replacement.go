@@ -25,10 +25,7 @@ func init() {
 // thrashes on the cold tail) — the classic LRU pathology.
 func ReplacementAblation(opts Options) (*Report, error) {
 	opts = opts.defaults()
-	accesses := 60000
-	if opts.Thorough {
-		accesses = 200000
-	}
+	const accesses = 60000
 	policies := []cache.Replacement{cache.ReplaceLRU, cache.ReplaceBitPLRU, cache.ReplaceRandom}
 
 	rep := &Report{

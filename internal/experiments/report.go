@@ -104,9 +104,6 @@ func lineWidth(widths []int) int {
 type Options struct {
 	// Seed drives all randomness (default 2022, the paper's year).
 	Seed uint64
-	// Thorough enlarges datasets and model budgets several-fold. The
-	// default (false) is the scaled configuration.
-	Thorough bool
 	// Workers bounds the harness's parallelism across independent
 	// experiment units — collocation pairs, repeated trainings,
 	// profiled conditions and held-out evaluation rows (0 = GOMAXPROCS,

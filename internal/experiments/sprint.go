@@ -21,11 +21,7 @@ func init() {
 // kmeans); the mechanisms compose.
 func Sprint(opts Options) (*Report, error) {
 	opts = opts.defaults()
-	queries := 160
-	reps := 3
-	if opts.Thorough {
-		queries, reps = 260, 5
-	}
+	const queries, reps = 160, 3
 
 	pairs := []pairSpec{
 		{"redis", "bfs"},  // memory-bound pair

@@ -28,10 +28,7 @@ func Table1(opts Options) (*Report, error) {
 		Title:   "Benchmark cache-access characterisation (solo, baseline allocation)",
 		Columns: []string{"workload", "mem accesses/access", "unique-line frac", "paper description"},
 	}
-	accesses := 60000
-	if opts.Thorough {
-		accesses = 300000
-	}
+	const accesses = 60000
 	for _, k := range workload.All() {
 		miss, uniq, err := characterise(proc, k, accesses, opts.Seed)
 		if err != nil {

@@ -184,6 +184,9 @@ func goldenRuns() []goldenRun {
 // results. Replaying hotshift is covered here too: its golden digest
 // hashes every MigrationEvent field.
 func TestFleetWorkerInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("15 golden fleet runs")
+	}
 	for _, r := range goldenRuns() {
 		if r.err != nil {
 			t.Fatalf("%s workers=%d: %v", r.name, r.workers, r.err)

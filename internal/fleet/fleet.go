@@ -73,13 +73,6 @@ type ServiceSpec struct {
 	// lowers the realised utilisation — the capacity heterogeneity the
 	// migrator exploits.
 	Load float64
-	// Timeout is the per-node short-term allocation timeout relative to
-	// expected service time (testbed semantics; default NeverBoost).
-	Timeout float64
-	// SLAFactor sets the p95 SLA as a multiple of the service's solo
-	// expected service time (default 12). The migrator acts when the
-	// model predicts the next epoch's p95 above this.
-	SLAFactor float64
 	// Replicas is how many nodes host the service (default 1). The
 	// router spreads queries over the hosting replicas.
 	Replicas int
@@ -92,6 +85,21 @@ type ServiceSpec struct {
 	// entry; nil is a flat 1.0.
 	RateProfile []float64
 }
+
+// Fleet-wide service settings; every service also runs at
+// testbed.NeverBoost on every node.
+//   - slaFactor sets a service's p95 SLA as a multiple of its solo
+//     expected service time; the migrator acts when the model predicts
+//     the next epoch's p95 above it.
+//   - coldPenalty inflates a migrated service's per-query demand on its
+//     new node, decaying linearly over its first coldQueries queries
+//     there: the cold-cache warmup cost of moving. It is typed, so
+//     coldPenalty-1 rounds as it does at run time.
+const (
+	slaFactor           = 12
+	coldPenalty float64 = 1.4
+	coldQueries         = 24
+)
 
 // rateAt returns the service's rate multiplier for an epoch.
 func (s ServiceSpec) rateAt(epoch int) float64 {
@@ -126,11 +134,6 @@ type Config struct {
 	EpochQueries int
 	// Migrate enables the model-driven migrator.
 	Migrate bool
-	// ColdPenalty inflates a migrated service's per-query demand on its
-	// new node, decaying linearly over ColdQueries queries (defaults
-	// 1.4 over 24 queries): the cold-cache warmup cost of moving.
-	ColdPenalty float64
-	ColdQueries int
 	// DrainNode, when set, drains the named node starting at DrainEpoch
 	// (which must lie in [0, Epochs)): the router stops sending to it and
 	// every hosted service is force-migrated away (reason "drain").
@@ -155,12 +158,6 @@ func (c Config) Defaults() Config {
 	if c.EpochQueries == 0 {
 		c.EpochQueries = 60
 	}
-	if c.ColdPenalty == 0 {
-		c.ColdPenalty = 1.4
-	}
-	if c.ColdQueries == 0 {
-		c.ColdQueries = 24
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -181,12 +178,6 @@ func (c Config) Defaults() Config {
 	for i := range c.Services {
 		if c.Services[i].Load == 0 {
 			c.Services[i].Load = 0.7
-		}
-		if c.Services[i].Timeout == 0 {
-			c.Services[i].Timeout = testbed.NeverBoost
-		}
-		if c.Services[i].SLAFactor == 0 {
-			c.Services[i].SLAFactor = 12
 		}
 		if c.Services[i].Replicas == 0 {
 			c.Services[i].Replicas = 1
@@ -292,9 +283,6 @@ func (c Config) Validate() error {
 			return configErr("DrainEpoch", "drain epoch %d outside the run's epochs [0,%d)",
 				c.DrainEpoch, c.Epochs)
 		}
-	}
-	if c.ColdPenalty < 1 {
-		return configErr("ColdPenalty", "cold penalty %v below 1", c.ColdPenalty)
 	}
 	return nil
 }

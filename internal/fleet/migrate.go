@@ -117,10 +117,10 @@ func (st *state) predictP95(svc, node, epoch int, mu, rate float64, cold bool) f
 		// one epoch.
 		expected := rate * st.epochLen
 		frac := 1.0
-		if expected > float64(st.cfg.ColdQueries) {
-			frac = float64(st.cfg.ColdQueries) / expected
+		if expected > coldQueries {
+			frac = coldQueries / expected
 		}
-		mu *= 1 + (st.cfg.ColdPenalty-1)*frac
+		mu *= 1 + (coldPenalty-1)*frac
 	}
 	cv := st.cv[svc]
 	if cv <= 0 {
@@ -180,7 +180,7 @@ func (st *state) move(svc, from, to, epoch int, reason string, predFrom, predTo 
 		out = append(out, n)
 	}
 	st.placement[svc] = insertSorted(out, to)
-	st.cold[to][svc] = st.cfg.ColdQueries
+	st.cold[to][svc] = coldQueries
 	st.migCount[svc]++
 	fleetMigrations.Inc()
 	st.migrations = append(st.migrations, MigrationEvent{

@@ -148,7 +148,7 @@ func (st *state) routePlan(e int, r *router, cold [][]int) *plan {
 // (k-way merge, ties to the lower service index) into p's schedules —
 // a single deterministic sequential pass. A query landing on a node
 // still cold for its service has its demand inflated, decaying linearly
-// over the first ColdQueries queries there.
+// over the first coldQueries queries there.
 func (st *state) route(p *plan, d *draws, r *router, cold [][]int) int {
 	for n := range p.sched {
 		for i := range p.sched[n] {
@@ -176,7 +176,7 @@ func (st *state) route(p *plan, d *draws, r *router, cold [][]int) int {
 		work := st.expRef[a.svc] * float64(a.q.Accesses) / st.demandMean[a.svc]
 		n := r.route(a.svc, a.q.Arrival, st.placement[a.svc], st.warmth[a.svc], work)
 		if c := cold[n][a.svc]; c > 0 {
-			factor := 1 + (st.cfg.ColdPenalty-1)*float64(c)/float64(st.cfg.ColdQueries)
+			factor := 1 + (coldPenalty-1)*float64(c)/float64(coldQueries)
 			a.q.Accesses = int(float64(a.q.Accesses) * factor)
 			cold[n][a.svc] = c - 1
 		}
@@ -212,7 +212,7 @@ func (st *state) build(p *plan, d *draws) {
 			}
 			svcSpecs = append(svcSpecs, testbed.ServiceSpec{
 				Kernel:   st.cfg.Services[i].Kernel,
-				Timeout:  st.cfg.Services[i].Timeout,
+				Timeout:  testbed.NeverBoost,
 				Schedule: qs,
 			})
 		}

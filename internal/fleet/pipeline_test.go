@@ -17,6 +17,9 @@ import (
 // counters of the golden runs TestFleetWorkerInvariant checks, at 1, 2
 // and 8 workers.
 func TestSpeculationOutcomes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("15 golden fleet runs")
+	}
 	for _, r := range goldenRuns() {
 		if r.err != nil {
 			t.Fatalf("%s workers=%d: %v", r.name, r.workers, r.err)

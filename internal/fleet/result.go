@@ -41,7 +41,7 @@ type ServiceResult struct {
 	Queries int     `json:"queries"`
 	Mean    float64 `json:"mean_response"`
 	P95     float64 `json:"p95_response"`
-	// SLA is the service's p95 target (SLAFactor × reference solo
+	// SLA is the service's p95 target (slaFactor × reference solo
 	// service time).
 	SLA float64 `json:"sla"`
 	// EpochP95 is the service's measured p95 per epoch (NaN-free: an

@@ -37,7 +37,7 @@ type state struct {
 	demandMean []float64
 	cv         []float64 // demand CV for the migrator's queueing model
 	rate       []float64 // fleet-wide arrival rate at multiplier 1
-	sla        []float64 // p95 target: SLAFactor × expRef
+	sla        []float64 // p95 target: slaFactor × expRef
 
 	// Mutable cluster state.
 	placement [][]int     // [svc] sorted hosting node indices
@@ -147,7 +147,7 @@ func newState(cfg Config) (*state, error) {
 		st.expRef[i] = exp
 		st.demandMean[i] = s.Kernel.Demand.Mean()
 		st.cv[i] = s.Kernel.DemandCV(cfg.Seed + uint64(i)*6151 + 13)
-		st.sla[i] = s.SLAFactor * exp
+		st.sla[i] = slaFactor * exp
 		st.warmth[i] = make([]float64, nn)
 		st.meas[i] = make([]float64, nn)
 		st.share[i] = make([]float64, nn)

@@ -17,7 +17,7 @@ import (
 )
 
 // Curve is the result of a stack-distance pass. It is a point-in-time
-// view: further Access or Reset calls on the analyzer that produced it
+// view: further Access calls on the analyzer that produced it
 // invalidate it.
 type Curve struct {
 	// Hist[d] counts accesses with stack distance exactly d (in lines).
@@ -131,18 +131,6 @@ func lineShift(lineSize int) (uint, error) {
 	return shift, nil
 }
 
-// Reset returns the analyzer to its initial state while retaining the
-// allocated last map, Fenwick tree and histogram storage, so batch curve
-// construction over many windows stops reallocating per window. Curves
-// previously returned by Curve() share that storage and are invalidated.
-func (a *Analyzer) Reset() {
-	clear(a.last)
-	a.tree = a.tree[:1]
-	a.tree[0] = 0
-	a.time = 0
-	a.curve = Curve{Hist: a.curve.Hist[:0]}
-}
-
 // fenwick add at position i (1-based).
 func (a *Analyzer) add(i int, delta uint64) {
 	for ; i < len(a.tree); i += i & (-i) {
@@ -192,7 +180,7 @@ func (a *Analyzer) Access(addr uint64) {
 
 // Curve returns the accumulated curve. The histogram slice is shared with
 // the analyzer — callers must not mutate it, and must re-fetch the curve
-// after further Access or Reset calls.
+// after further Access calls.
 func (a *Analyzer) Curve() *Curve {
 	c := a.curve
 	return &c

@@ -231,26 +231,6 @@ func TestAtConvenience(t *testing.T) {
 	}
 }
 
-// TestAnalyzerReset: a reset analyzer must reproduce a fresh analyzer's
-// curve bit-for-bit.
-func TestAnalyzerReset(t *testing.T) {
-	reused, _ := NewAnalyzer(64)
-	IngestPattern(reused, workload.Kmeans().NewPattern(0), 20000, 5)
-	reused.Reset()
-	IngestPattern(reused, workload.BFS().NewPattern(0), 15000, 9)
-	fresh, _ := NewAnalyzer(64)
-	IngestPattern(fresh, workload.BFS().NewPattern(0), 15000, 9)
-	a, b := reused.Curve(), fresh.Curve()
-	if a.Cold != b.Cold || a.Total != b.Total || len(a.Hist) != len(b.Hist) {
-		t.Fatalf("reset curve header differs: cold %d/%d total %d/%d", a.Cold, b.Cold, a.Total, b.Total)
-	}
-	for i := range a.Hist {
-		if a.Hist[i] != b.Hist[i] {
-			t.Fatalf("hist[%d]: %v vs %v", i, a.Hist[i], b.Hist[i])
-		}
-	}
-}
-
 // TestMissRatioCumMatchesScan: the O(1) cumulative-array path must agree
 // with the O(n) suffix-scan reference at every capacity, across ingest /
 // query / ingest interleavings (the ingest invalidates the array).

@@ -28,7 +28,6 @@ import (
 type PairContext struct {
 	KernelA, KernelB workload.Kernel
 	LoadA, LoadB     float64
-	Processor        testbed.Processor
 	// QueriesPerService for evaluation runs (probe runs use fewer).
 	QueriesPerService int
 	Seed              uint64
@@ -37,9 +36,6 @@ type PairContext struct {
 // Defaults fills unset fields with the evaluation settings of §5.2
 // (arrival rate at 90 % of service rate).
 func (c PairContext) Defaults() PairContext {
-	if c.Processor.Name == "" {
-		c.Processor = testbed.XeonE5_2683()
-	}
 	if c.LoadA == 0 {
 		c.LoadA = 0.9
 	}
@@ -55,7 +51,6 @@ func (c PairContext) Defaults() PairContext {
 // condition builds the testbed condition for given timeouts and loads.
 func (c PairContext) condition(tA, tB, loadA, loadB float64, queries int, seedOff uint64) testbed.Condition {
 	cond := testbed.Pair(c.KernelA, c.KernelB, loadA, loadB, tA, tB, c.Seed+seedOff)
-	cond.Processor = c.Processor
 	cond.QueriesPerService = queries
 	return cond
 }
@@ -239,29 +234,14 @@ func DynaSprint(ctx PairContext) (Decision, error) {
 	return best, nil
 }
 
-// SearchOptions configures the model-driven search.
-type SearchOptions struct {
-	// Grid is the per-workload timeout grid (default TimeoutGrid()).
-	Grid []float64
-	// SLOBand is the relative band for step 1 of the matching policy
-	// (default 5 %: settings within 5 % of the lowest response).
-	SLOBand float64
-	// Servers is per-service parallelism (default 2).
-	Servers int
-}
+// SearchOptions configures the model-driven search. It has no settings:
+// the search fixes what §5.2 fixes, the paper's timeout grid
+// (TimeoutGrid) and a 5 % SLO band.
+type SearchOptions struct{}
 
-func (o SearchOptions) defaults() SearchOptions {
-	if len(o.Grid) == 0 {
-		o.Grid = TimeoutGrid()
-	}
-	if o.SLOBand == 0 {
-		o.SLOBand = 0.05
-	}
-	if o.Servers == 0 {
-		o.Servers = 2
-	}
-	return o
-}
+// sloBand is the relative band for step 1 of the matching policy:
+// settings within 5 % of a service's lowest predicted response.
+const sloBand = 0.05
 
 // ModelDriven searches the timeout grid with a trained predictor — the
 // paper's approach. Scenario templates for each service supply the
@@ -283,9 +263,8 @@ func ModelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, opts Sea
 // modelDriven is ModelDriven that also returns the median-filtered grids
 // of predicted mean response it matched on, service A's then B's, each
 // indexed [A's timeout][B's timeout].
-func modelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, opts SearchOptions) (Decision, [2][][]float64, error) {
-	opts = opts.defaults()
-	grid := opts.Grid
+func modelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, _ SearchOptions) (Decision, [2][][]float64, error) {
+	grid := TimeoutGrid()
 	n := len(grid)
 
 	// The 2·n² predictions are independent: fan them out over the
@@ -341,8 +320,8 @@ func modelDriven(p *core.Predictor, scenarioA, scenarioB core.Scenario, opts Sea
 	var intersect []combo
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			okA := respA[i][j] <= bestA*(1+opts.SLOBand)
-			okB := respB[i][j] <= bestB*(1+opts.SLOBand)
+			okA := respA[i][j] <= bestA*(1+sloBand)
+			okB := respB[i][j] <= bestB*(1+sloBand)
 			if okA && okB {
 				intersect = append(intersect, combo{i, j})
 			}

@@ -8,16 +8,13 @@ import (
 	"stac/internal/workload"
 )
 
-// CollectOptions configures profile collection for one collocated pair.
+// CollectOptions configures profile collection for one collocated pair
+// on the Xeon E5-2683, in the DefaultSchema.
 type CollectOptions struct {
 	// KernelA and KernelB are the collocated workloads.
 	KernelA, KernelB workload.Kernel
-	// Processor defaults to the Xeon E5-2683.
-	Processor testbed.Processor
-	// Schema defaults to DefaultSchema.
-	Schema Schema
 	// QueriesPerService per profiling run; each run yields roughly
-	// QueriesPerService / Schema.QueriesPerRow rows per service.
+	// QueriesPerService / DefaultSchema().QueriesPerRow rows per service.
 	QueriesPerService int
 	// SamplePeriod is the counter-sampling period passed to the testbed
 	// (0 = testbed default).
@@ -32,12 +29,6 @@ type CollectOptions struct {
 }
 
 func (o CollectOptions) defaults() CollectOptions {
-	if o.Processor.Name == "" {
-		o.Processor = testbed.XeonE5_2683()
-	}
-	if o.Schema.QueriesPerRow == 0 {
-		o.Schema = DefaultSchema()
-	}
 	if o.QueriesPerService == 0 {
 		o.QueriesPerService = 100
 	}
@@ -48,7 +39,6 @@ func (o CollectOptions) defaults() CollectOptions {
 func (o CollectOptions) condition(p Point, runIdx int) testbed.Condition {
 	cond := testbed.Pair(o.KernelA, o.KernelB, p.LoadA, p.LoadB, p.TimeoutA, p.TimeoutB,
 		o.Seed+uint64(runIdx)*1_000_003)
-	cond.Processor = o.Processor
 	cond.QueriesPerService = o.QueriesPerService
 	if o.SamplePeriod > 0 {
 		cond.SamplePeriod = o.SamplePeriod
@@ -62,6 +52,7 @@ func (o CollectOptions) condition(p Point, runIdx int) testbed.Condition {
 // dataset is byte-identical regardless of scheduling.
 func Collect(opts CollectOptions, points []Point) (Dataset, error) {
 	opts = opts.defaults()
+	schema := DefaultSchema()
 	perPoint := make([][]Row, len(points))
 	err := par.ForEach(opts.Workers, len(points), func(i int) error {
 		run, err := testbed.Run(opts.condition(points[i], i))
@@ -75,7 +66,7 @@ func Collect(opts CollectOptions, points []Point) (Dataset, error) {
 		}
 		var rows []Row
 		for svcIdx := range run.Services {
-			svcRows, err := BuildRows(opts.Schema, run, svcIdx)
+			svcRows, err := BuildRows(schema, run, svcIdx)
 			if err != nil {
 				return fmt.Errorf("profile: point %d service %d: %w", i, svcIdx, err)
 			}
@@ -90,7 +81,7 @@ func Collect(opts CollectOptions, points []Point) (Dataset, error) {
 	if err != nil {
 		return Dataset{}, err
 	}
-	ds := Dataset{Schema: opts.Schema}
+	ds := Dataset{Schema: schema}
 	for _, rows := range perPoint {
 		ds.Rows = append(ds.Rows, rows...)
 	}

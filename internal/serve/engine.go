@@ -263,7 +263,7 @@ func (e *Engine) predict(req PredictRequest, start time.Time) (PredictResponse, 
 		if berr != nil {
 			return PredictResponse{}, berr
 		}
-		resp.EA = clampEA(ea)
+		resp.EA = core.ClampEA(ea)
 	}
 	if e.cache != nil {
 		e.cache.put(key, resp)
@@ -311,16 +311,4 @@ func buildScenario(v *Version, req PredictRequest) (core.Scenario, cacheKey, *Er
 		full:        req.Full,
 	}
 	return scen, key, nil
-}
-
-// clampEA mirrors the clamp core.Predictor applies to a predicted
-// effective allocation: the physically meaningful range.
-func clampEA(ea float64) float64 {
-	if ea < 0.02 {
-		return 0.02
-	}
-	if ea > 1.5 {
-		return 1.5
-	}
-	return ea
 }

@@ -139,10 +139,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.Load == 0 {
 		req.Load = 0.9
 	}
-	if req.TopK <= 0 {
+	// Only an absent (zero) top_k or accesses takes the default; search
+	// refuses a negative one.
+	if req.TopK == 0 {
 		req.TopK = 5
 	}
-	if req.Accesses <= 0 {
+	if req.Accesses == 0 {
 		req.Accesses = 20000
 	}
 	if req.Seed == 0 {
@@ -167,6 +169,12 @@ func (s *Server) search(req SearchRequest) (SearchResponse, *Error) {
 	}
 	if req.Load <= 0 || req.Load >= 1 {
 		return SearchResponse{}, errBadRequest("load must be in (0,1)")
+	}
+	if req.TopK < 0 {
+		return SearchResponse{}, errBadRequest(fmt.Sprintf("top_k must be non-negative, got %d", req.TopK))
+	}
+	if req.Accesses < 0 {
+		return SearchResponse{}, errBadRequest(fmt.Sprintf("accesses must be non-negative, got %d", req.Accesses))
 	}
 	if req.Accesses > maxSearchAccesses {
 		return SearchResponse{}, errBadRequest(fmt.Sprintf("accesses must be at most %d", maxSearchAccesses))

@@ -189,6 +189,8 @@ func TestHTTPSearchRejectsBadBodies(t *testing.T) {
 	for _, tc := range []struct{ body, field string }{
 		{`{"kernel_a":"redis","kernel_b":"social","sampled":0.05}`, "sampled"},
 		{`{"kernel_a":"redis","kernel_b":"social","accesses":2000000000}`, "accesses"},
+		{`{"kernel_a":"redis","kernel_b":"social","top_k":-3}`, "top_k"},
+		{`{"kernel_a":"redis","kernel_b":"social","accesses":-5}`, "accesses"},
 	} {
 		s, ts := newTestServer(t)
 		start := time.Now()

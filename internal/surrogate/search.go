@@ -7,6 +7,7 @@ import (
 
 	"stac/internal/mrc"
 	"stac/internal/par"
+	"stac/internal/policy"
 	"stac/internal/queueing"
 	"stac/internal/stats"
 	"stac/internal/testbed"
@@ -54,12 +55,6 @@ type Config struct {
 	LoadA, LoadB     float64
 	// Accesses is the MRC trace length per kernel (default 40000).
 	Accesses int
-	// SimQueries is the Stage-3 simulation length per plan evaluation
-	// (default 1500).
-	SimQueries int
-	// Grid is the timeout grid EnumeratePlans sweeps (default the paper's
-	// 5-point grid, §5.2).
-	Grid []float64
 	// Seed drives the anchor calibrations, the service CVs and the
 	// validation runs; the curves and the sweep's simulations use fixed
 	// seeds.
@@ -85,15 +80,11 @@ func (c Config) defaults() Config {
 	if c.Accesses == 0 {
 		c.Accesses = 40000
 	}
-	if c.SimQueries == 0 {
-		c.SimQueries = 1500
-	}
-	if len(c.Grid) == 0 {
-		// The paper's searched timeout settings (policy.TimeoutGrid).
-		c.Grid = []float64{0, 0.5, 1.5, 3, 4.5}
-	}
 	return c
 }
+
+// simQueries is the Stage-3 simulation length per plan evaluation.
+const simQueries = 1500
 
 // simKey is a memo cell: a Stage-3 simulation config rounded to a 1e-4
 // grid after per-field scaling (see keyOf). Plans that reduce to the
@@ -227,11 +218,13 @@ func (s *Searcher) SimRuns() int { return s.simRuns }
 
 // EnumeratePlans generates the exhaustive plan space: every asymmetric
 // chain layout using all of the processor's ways (privA ≥ 1, privB ≥ 1,
-// shared ≥ 0, privA+shared+privB = ways) crossed with the timeout grid.
-// On the 20-way default platform that is 171 shared layouts × 25 timeout
-// pairs + 19 fully-private layouts = 4294 plans.
+// shared ≥ 0, privA+shared+privB = ways) crossed with the paper's
+// timeout grid (policy.TimeoutGrid, §5.2). On the 20-way default
+// platform that is 171 shared layouts × 25 timeout pairs + 19
+// fully-private layouts = 4294 plans.
 func (s *Searcher) EnumeratePlans() []Plan {
 	ways := s.cfg.Processor.Ways
+	grid := policy.TimeoutGrid()
 	var plans []Plan
 	for privA := 1; privA <= ways-1; privA++ {
 		for privB := 1; privA+privB <= ways; privB++ {
@@ -243,8 +236,8 @@ func (s *Searcher) EnumeratePlans() []Plan {
 					TimeoutA: testbed.NeverBoost, TimeoutB: testbed.NeverBoost})
 				continue
 			}
-			for _, ta := range s.cfg.Grid {
-				for _, tb := range s.cfg.Grid {
+			for _, ta := range grid {
+				for _, tb := range grid {
 					plans = append(plans, Plan{PrivA: privA, PrivB: privB, Shared: shared,
 						TimeoutA: ta, TimeoutB: tb})
 				}
@@ -367,7 +360,7 @@ func (s *Searcher) planConfigs(p Plan, boostFrac [2]float64) [2]queueing.Config 
 			Service:   stats.LognormalFromMeanCV(baseMean, m.ServiceCV()),
 			Timeout:   timeout,
 			BoostRate: boostRate,
-			Queries:   s.cfg.SimQueries,
+			Queries:   simQueries,
 		}
 	}
 	return cfgs

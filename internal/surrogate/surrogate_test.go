@@ -333,13 +333,15 @@ func TestValidateMatchesSerialRuns(t *testing.T) {
 // one-worker run.
 func TestSimulateAcrossGOMAXPROCSChanges(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := redisSocialSearcher(t, Config{SimQueries: 40})
+	s := redisSocialSearcher(t, Config{})
 	var keys [][2]simKey
 	for _, p := range []Plan{
 		{PrivA: 4, PrivB: 8, Shared: 8, TimeoutA: 0, TimeoutB: 1.5},
 		{PrivA: 9, PrivB: 9, Shared: 2, TimeoutA: 0.5, TimeoutB: 0.5},
 	} {
 		pc := s.planConfigs(p, [2]float64{})
+		// 40-query cells keep the 10 000 fills below cheap.
+		pc[0].Queries, pc[1].Queries = 40, 40
 		keys = append(keys, [2]simKey{keyOf(pc[0]), keyOf(pc[1])})
 	}
 	run := func() [4]simOut {

@@ -22,12 +22,17 @@ type BoostKind int
 const (
 	// BoostCache grants the shared LLC ways (the paper's mechanism).
 	BoostCache BoostKind = iota
-	// BoostFrequency raises the core clock while boosted: compute and
-	// cache-hit cycles shrink; memory latency in wall time does not.
+	// BoostFrequency raises the core clock by sprintFactor while
+	// boosted: compute and cache-hit cycles shrink; memory latency in
+	// wall time does not.
 	BoostFrequency
 	// BoostBoth applies both mechanisms simultaneously.
 	BoostBoth
 )
+
+// sprintFactor is the core-clock multiplier applied while a
+// frequency-boosted service runs, a typical turbo headroom.
+const sprintFactor = 1.25
 
 // String names the boost mechanism.
 func (b BoostKind) String() string {
@@ -94,10 +99,6 @@ type Condition struct {
 	// WarmupQueries are discarded from the head of each service's
 	// completions (cache and queue warm-up).
 	WarmupQueries int
-	// SprintFactor is the core-clock multiplier applied while a
-	// frequency-boosted service runs (default 1.25, a typical turbo
-	// headroom).
-	SprintFactor float64
 	// PoolSharing switches the cache layout from the paper's pairwise
 	// chain to a non-contiguous shared pool (cat.PlanPool): every service
 	// keeps its private span and all boosts draw from one common region.
@@ -149,9 +150,6 @@ func (c Condition) Defaults() Condition {
 	}
 	if c.WarmupQueries == 0 {
 		c.WarmupQueries = 20
-	}
-	if c.SprintFactor == 0 {
-		c.SprintFactor = 1.25
 	}
 	for i := range c.Services {
 		if c.Services[i].Load == 0 {

@@ -861,7 +861,7 @@ func (m *Machine) runExec(s *service, e *exec, until float64) {
 	// hits) while boosted; memory time is clock-independent.
 	freq := 1.0
 	if s.boosted && (s.spec.Boost == BoostFrequency || s.spec.Boost == BoostBoth) {
-		freq = m.cond.SprintFactor
+		freq = sprintFactor
 	}
 	if !s.tab.valid || s.tab.freq != freq || s.tab.pressure != s.pressure {
 		s.tab.rebuild(m.cond.Processor, s.spec.Kernel, freq, s.pressure)

@@ -47,7 +47,10 @@ func TestFrequencySprintHelpsComputeBound(t *testing.T) {
 	}
 }
 
-func TestFrequencySprintLeavesMaskAlone(t *testing.T) {
+// frequencySprintRun runs knn always frequency-boosted beside kmeans
+// and returns the machine.
+func frequencySprintRun(t *testing.T) *Machine {
+	t.Helper()
 	cond := Pair(workload.KNN(), workload.Kmeans(), 0.9, 0.5, 0, NeverBoost, 41)
 	cond.QueriesPerService = 40
 	cond.Services[0].Boost = BoostFrequency
@@ -58,6 +61,11 @@ func TestFrequencySprintLeavesMaskAlone(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestFrequencySprintLeavesMaskAlone(t *testing.T) {
+	m := frequencySprintRun(t)
 	// The frequency-boosted service's LLC mask must still be its default.
 	if got := m.h.LLC().Mask(0); got != m.svcs[0].defaultMask {
 		t.Fatalf("frequency sprint changed the cache mask: %#x vs default %#x",
@@ -65,9 +73,10 @@ func TestFrequencySprintLeavesMaskAlone(t *testing.T) {
 	}
 }
 
+// TestSprintFactorDefault pins the clock a frequency sprint runs at: the
+// always-boosted service's last cost table is built at 1.25×.
 func TestSprintFactorDefault(t *testing.T) {
-	c := Pair(workload.KNN(), workload.Kmeans(), 0.5, 0.5, 1, 1, 1)
-	if c.SprintFactor != 1.25 {
-		t.Fatalf("default sprint factor %v, want 1.25", c.SprintFactor)
+	if got := frequencySprintRun(t).svcs[0].tab.freq; got != 1.25 {
+		t.Fatalf("frequency-boosted service ran at clock factor %v, want 1.25", got)
 	}
 }

@@ -3,23 +3,24 @@
 // ICPP '22). Short-term cache allocation grants and revokes access to
 // last-level-cache ways dynamically: a query execution that exceeds a
 // response-time timeout is temporarily switched to a class of service
-// with more ways. This package exposes the complete pipeline the paper
-// describes:
+// with more ways. This package exposes the pipeline the paper describes,
+// run on a simulated testbed (collocated services on a CAT-partitioned
+// Xeon) that produces ground-truth response times and counter profiles:
 //
-//   - a simulated testbed (collocated services on a CAT-partitioned Xeon)
-//     that produces ground-truth response times and counter profiles,
-//   - Stage 1 profiling: effective-cache-allocation measurement and
-//     stratified condition sampling,
-//   - Stage 2 learning: a deep forest (multi-grain scanning + cascades)
-//     that predicts effective allocation from profiles,
-//   - Stage 3 first-principles modeling: a G/G/k simulator with
-//     timeout-triggered speedups that converts effective allocation into
-//     response-time predictions, and
-//   - model-driven policy search with the competing baselines of the
-//     paper's evaluation (static, dCat, dynaSprint, simple-ML).
+//   - Stage 1 profiling (Profile): effective-cache-allocation
+//     measurement and stratified condition sampling,
+//   - Stage 2 learning and Stage 3 modeling (Train): a deep forest
+//     (multi-grain scanning + cascades) predicts effective allocation
+//     from profiles, and a G/G/k simulator with timeout-triggered
+//     speedups converts it into response-time predictions,
+//   - the paper's model-driven timeout search (FindPolicy) and its
+//     testbed evaluation (EvaluatePolicy), and
+//   - the surrogate search over every CAT mask plan (NewSearcher).
 //
-// The facade re-exports the library's main types via aliases; the
-// underlying packages live in internal/ and are documented individually.
+// The facade re-exports the types these calls take and return via
+// aliases; the underlying packages live in internal/ and are documented
+// individually. The command in cmd/stac drives the rest, the paper's
+// Figure 8 baselines (static, dCat, dynaSprint, simple-ML) included.
 //
 // A minimal end-to-end flow:
 //
@@ -33,17 +34,12 @@
 package stac
 
 import (
-	"fmt"
-
-	cachepkg "stac/internal/cache"
-	"stac/internal/cat"
 	"stac/internal/core"
 	"stac/internal/deepforest"
 	"stac/internal/policy"
 	"stac/internal/profile"
 	"stac/internal/stats"
 	"stac/internal/surrogate"
-	"stac/internal/testbed"
 	"stac/internal/workload"
 )
 
@@ -52,22 +48,10 @@ import (
 type (
 	// Kernel is one of the eight Table 1 benchmark workloads.
 	Kernel = workload.Kernel
-	// Condition is a runtime condition executable on the testbed.
-	Condition = testbed.Condition
-	// ServiceSpec configures one collocated service within a Condition.
-	ServiceSpec = testbed.ServiceSpec
-	// RunResult is a testbed measurement.
-	RunResult = testbed.RunResult
-	// Processor is a simulated evaluation platform.
-	Processor = testbed.Processor
 	// Dataset is a set of profiling rows (Stage 1 output).
 	Dataset = profile.Dataset
-	// Point is one sampled runtime condition for a collocated pair.
-	Point = profile.Point
 	// Scenario describes a runtime condition for prediction.
 	Scenario = core.Scenario
-	// Prediction is the pipeline's response-time prediction.
-	Prediction = core.Prediction
 	// Predictor is the trained three-stage pipeline.
 	Predictor = core.Predictor
 	// Decision is a chosen short-term allocation policy (timeout vector).
@@ -81,16 +65,7 @@ type (
 	Searcher = surrogate.Searcher
 	// SearchConfig parameterises a Searcher.
 	SearchConfig = surrogate.Config
-	// MaskPlan is one candidate layout + timeout plan.
-	MaskPlan = surrogate.Plan
-	// PlanEvaluation is the surrogate's prediction for one plan.
-	PlanEvaluation = surrogate.Evaluation
-	// ValidatedPlan pairs a prediction with testbed ground truth.
-	ValidatedPlan = surrogate.Validated
 )
-
-// NeverBoost is the timeout value that disables short-term allocation.
-var NeverBoost = testbed.NeverBoost
 
 // Workloads returns the eight benchmark kernels of the paper's Table 1.
 func Workloads() []Kernel { return workload.All() }
@@ -99,44 +74,8 @@ func Workloads() []Kernel { return workload.All() }
 // knn, kmeans, spkmeans, spstream, bfs, social, redis).
 func WorkloadByName(name string) (Kernel, error) { return workload.ByName(name) }
 
-// DefaultProcessor returns the paper's default platform (Xeon E5-2683:
-// 16 cores, 40 MB LLC in 20 ways).
-func DefaultProcessor() Processor { return testbed.XeonE5_2683() }
-
-// Processors returns the five evaluation platforms of Figure 7b.
-func Processors() []Processor { return testbed.Processors() }
-
-// Run executes a runtime condition on the simulated testbed and returns
-// ground-truth measurements.
-func Run(cond Condition) (*RunResult, error) { return testbed.Run(cond) }
-
-// Collocate builds the canonical two-service condition: kernels a and b
-// at the given loads with the given relative timeouts.
-func Collocate(a, b Kernel, loadA, loadB, timeoutA, timeoutB float64, seed uint64) Condition {
-	return testbed.Pair(a, b, loadA, loadB, timeoutA, timeoutB, seed)
-}
-
-// MissCurvePoint measures one point of a workload's miss-ratio curve: the
-// fraction of accesses that reach memory when the kernel runs solo with
-// the given number of allocated LLC ways. Useful for understanding which
-// workloads can convert short-term allocations into speedup.
-func MissCurvePoint(proc Processor, k Kernel, ways, accesses int, seed uint64) (float64, error) {
-	h, err := cachepkg.NewHierarchy(proc.HierarchyConfig())
-	if err != nil {
-		return 0, err
-	}
-	h.SetMask(0, cat.Setting{Offset: 0, Length: ways}.Mask())
-	rng := stats.NewRNG(seed)
-	pat := k.NewPattern(1 << 30)
-	for i := 0; i < accesses; i++ {
-		a := pat.Next(rng)
-		h.Access(0, 0, a.Addr, a.Write)
-	}
-	llc := h.LLC().Stats(0)
-	return float64(llc.Misses) / float64(accesses), nil
-}
-
-// ProfileOptions configures Stage 1 profiling for one collocated pair.
+// ProfileOptions configures Stage 1 profiling for one collocated pair on
+// the Xeon E5-2683.
 type ProfileOptions struct {
 	// KernelA and KernelB are the collocated workloads.
 	KernelA, KernelB Kernel
@@ -149,8 +88,6 @@ type ProfileOptions struct {
 	// stratified sampler seeds, clusters by measured effective
 	// allocation, and samples around the regime centroids.
 	UseUniform bool
-	// Processor defaults to the Xeon E5-2683.
-	Processor Processor
 	// Seed drives all randomness.
 	Seed uint64
 	// Workers bounds profiling parallelism (0 = GOMAXPROCS, 1 =
@@ -168,13 +105,12 @@ func Profile(opts ProfileOptions) (Dataset, error) {
 	copts := profile.CollectOptions{
 		KernelA:           opts.KernelA,
 		KernelB:           opts.KernelB,
-		Processor:         opts.Processor,
 		QueriesPerService: opts.QueriesPerCondition,
 		Seed:              opts.Seed,
 		Workers:           opts.Workers,
 	}
 	rng := stats.NewRNG(opts.Seed)
-	var pts []Point
+	var pts []profile.Point
 	if opts.UseUniform {
 		pts = profile.UniformPoints(points, rng)
 	} else {
@@ -185,100 +121,15 @@ func Profile(opts ProfileOptions) (Dataset, error) {
 		if nSeeds > points {
 			nSeeds = points
 		}
-		pts = profile.StratifiedPoints(points, nSeeds, 4, func(p Point) float64 {
+		pts = profile.StratifiedPoints(points, nSeeds, 4, func(p profile.Point) float64 {
 			return profile.EvalEA(copts, p)
 		}, rng, opts.Workers)
 	}
 	return profile.Collect(copts, pts)
 }
 
-// ChainProfileOptions configures profiling for a chain of three or more
-// collocated services (cat.PlanChain layout).
-type ChainProfileOptions struct {
-	// Kernels are the collocated workloads, in chain order.
-	Kernels []Kernel
-	// Runs is the number of randomised profiling conditions (default 14).
-	Runs int
-	// QueriesPerCondition per service per run (default 80).
-	QueriesPerCondition int
-	// SharedWays between neighbours (default 1 — chains need more ways
-	// than pairs).
-	SharedWays int
-	// Processor defaults to the Xeon E5-2683.
-	Processor Processor
-	// Seed drives all randomness.
-	Seed uint64
-}
-
-// ProfileChain collects a profiling dataset for a chain of collocated
-// services: each run draws every service's load from [0.4, 0.95] and its
-// timeout from [0, 5] at random.
-func ProfileChain(opts ChainProfileOptions) (Dataset, error) {
-	if len(opts.Kernels) < 2 {
-		return Dataset{}, fmt.Errorf("stac: chain profiling needs at least 2 kernels")
-	}
-	runs := opts.Runs
-	if runs <= 0 {
-		runs = 14
-	}
-	queries := opts.QueriesPerCondition
-	if queries <= 0 {
-		queries = 80
-	}
-	shared := opts.SharedWays
-	if shared <= 0 {
-		shared = 1
-	}
-	// Draw every condition's loads and timeouts up front, in run order —
-	// the single RNG's consumption sequence must not depend on how the
-	// batch is later scheduled.
-	rng := stats.NewRNG(opts.Seed)
-	conds := make([]Condition, runs)
-	for run := range conds {
-		cond := Condition{
-			Processor:  opts.Processor,
-			SharedWays: shared,
-			Seed:       opts.Seed + uint64(run)*6373,
-		}
-		for _, k := range opts.Kernels {
-			cond.Services = append(cond.Services, ServiceSpec{
-				Kernel:  k,
-				Load:    stats.Uniform{Lo: 0.4, Hi: 0.95}.Sample(rng),
-				Timeout: stats.Uniform{Lo: 0, Hi: 5}.Sample(rng),
-			})
-		}
-		cond = cond.Defaults()
-		cond.QueriesPerService = queries
-		conds[run] = cond
-	}
-	results, err := testbed.RunBatch(0, conds)
-	if err != nil {
-		return Dataset{}, err
-	}
-	ds := Dataset{Schema: profile.DefaultSchema()}
-	for run, res := range results {
-		for svcIdx := range res.Services {
-			rows, err := profile.BuildRows(ds.Schema, res, svcIdx)
-			if err != nil {
-				return Dataset{}, err
-			}
-			for r := range rows {
-				rows[r].CondID = run
-			}
-			ds.Rows = append(ds.Rows, rows...)
-		}
-	}
-	return ds, nil
-}
-
 // TrainOptions configures pipeline training.
 type TrainOptions struct {
-	// PaperConfig selects the paper-faithful deep-forest configuration
-	// (4 stride-1 grains, 4×4×100 cascade). The default is a scaled
-	// configuration suited to single-core machines.
-	PaperConfig bool
-	// Servers is the per-service core count being modelled (default 2).
-	Servers int
 	// Seed drives training randomness.
 	Seed uint64
 	// Workers bounds training parallelism, including the predictor's
@@ -288,23 +139,17 @@ type TrainOptions struct {
 }
 
 // Train fits the deep-forest effective-allocation model on a profiling
-// dataset and assembles the full three-stage predictor.
+// dataset, in the scaled configuration suited to small machines, and
+// assembles the full three-stage predictor for services on two cores
+// each (the paper's provision).
 func Train(ds Dataset, opts TrainOptions) (*Predictor, error) {
-	spec := core.MatrixSpec(ds.Schema)
-	cfg := deepforest.FastConfig(spec)
-	if opts.PaperConfig {
-		cfg = deepforest.DefaultConfig(spec)
-	}
+	cfg := deepforest.FastConfig(core.MatrixSpec(ds.Schema))
 	cfg.Workers = opts.Workers
-	servers := opts.Servers
-	if servers <= 0 {
-		servers = 2
-	}
 	model, err := core.TrainDeepForestEA(ds, cfg, stats.NewRNG(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	return core.NewPredictor(model, ds, servers, opts.Workers)
+	return core.NewPredictor(model, ds, 2, opts.Workers)
 }
 
 // NewScenario builds a prediction scenario for one service of a profiled
@@ -321,13 +166,6 @@ func FindPolicy(p *Predictor, scenarioA, scenarioB Scenario) (Decision, error) {
 	return policy.ModelDriven(p, scenarioA, scenarioB, policy.SearchOptions{})
 }
 
-// FindChainPolicy extends the model-driven search to chains of three or
-// more collocated services (the cat.PlanChain layout), returning one
-// timeout per service. See policy.ChainSearch.
-func FindChainPolicy(p *Predictor, scenarios []Scenario) ([]float64, error) {
-	return policy.ChainSearch(p, scenarios, policy.SearchOptions{})
-}
-
 // EvaluatePolicy runs a decision on the testbed and reports per-service
 // speedup in 95th-percentile response time against the no-sharing
 // baseline.
@@ -341,20 +179,3 @@ func EvaluatePolicy(ctx PairContext, d Decision) ([2]float64, error) {
 // EnumeratePlans + Search to rank the exhaustive plan space and Validate
 // to re-measure the top candidates on the full testbed.
 func NewSearcher(cfg SearchConfig) (*Searcher, error) { return surrogate.New(cfg) }
-
-// Baseline allocation approaches from the paper's Figure 8 comparison.
-
-// NoSharingPolicy gives each workload only its private cache.
-func NoSharingPolicy() Decision { return policy.NoSharing() }
-
-// StaticPolicy probes full-sharing vs private-only on the testbed and
-// returns the better configuration.
-func StaticPolicy(ctx PairContext) (Decision, error) { return policy.Static(ctx) }
-
-// DCatPolicy implements workload-aware allocation: the shared region goes
-// to the workload that speeds up most.
-func DCatPolicy(ctx PairContext) (Decision, error) { return policy.DCat(ctx) }
-
-// DynaSprintPolicy tunes timeouts under low arrival rate and reuses them
-// at high rate, ignoring queueing delay.
-func DynaSprintPolicy(ctx PairContext) (Decision, error) { return policy.DynaSprint(ctx) }

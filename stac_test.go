@@ -1,9 +1,6 @@
 package stac
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestWorkloadsFacade(t *testing.T) {
 	ws := Workloads()
@@ -16,51 +13,6 @@ func TestWorkloadsFacade(t *testing.T) {
 	}
 	if _, err := WorkloadByName("nope"); err == nil {
 		t.Fatal("unknown workload accepted")
-	}
-}
-
-func TestProcessorsFacade(t *testing.T) {
-	if DefaultProcessor().Name == "" {
-		t.Fatal("default processor unnamed")
-	}
-	if len(Processors()) != 5 {
-		t.Fatalf("want 5 processors, got %d", len(Processors()))
-	}
-}
-
-func TestCollocateAndRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed run is slow")
-	}
-	redis, _ := WorkloadByName("redis")
-	knn, _ := WorkloadByName("knn")
-	cond := Collocate(redis, knn, 0.7, 0.5, 1.0, NeverBoost, 3)
-	cond.QueriesPerService = 50
-	res, err := Run(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Services) != 2 {
-		t.Fatalf("want 2 services, got %d", len(res.Services))
-	}
-	if res.Services[0].MeanResponse() <= 0 {
-		t.Fatal("non-positive response time")
-	}
-}
-
-func TestMissCurveMonotone(t *testing.T) {
-	proc := DefaultProcessor()
-	bfs, _ := WorkloadByName("bfs")
-	prev := math.Inf(1)
-	for _, ways := range []int{1, 2, 4, 8} {
-		frac, err := MissCurvePoint(proc, bfs, ways, 20000, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if frac > prev+0.02 {
-			t.Fatalf("miss fraction rose with more ways: %v -> %v at %d ways", prev, frac, ways)
-		}
-		prev = frac
 	}
 }
 
