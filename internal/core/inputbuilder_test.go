@@ -126,6 +126,24 @@ func TestInputBuilderShape(t *testing.T) {
 	}
 }
 
+// TestInputBuilderBuildAllocs pins Build's allocation count on the
+// serving path: the neighbours' matrices accumulate in the returned
+// vector, with no second matrix-sized slice, and the neighbour
+// candidates take one allocation, not one per growth step.
+func TestInputBuilderBuildAllocs(t *testing.T) {
+	lib := syntheticLibrary(t)
+	b, err := NewInputBuilder(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ScenarioFromRow(lib.Rows[0], 2)
+	s.Load = 0.6
+	const want = 8
+	if got := testing.AllocsPerRun(100, func() { _, _ = b.Build(s) }); got > want {
+		t.Errorf("Build allocates %v times per call, want at most %d", got, want)
+	}
+}
+
 func TestBaseServiceCVPrefersUnboostedWindows(t *testing.T) {
 	lib := syntheticLibrary(t)
 	// Mark one row as unboosted with a distinct CV.

@@ -648,19 +648,18 @@ func (b *InputBuilder) build(s Scenario, nb neighbourhood, dynamic []float64) ([
 	}
 	off := b.schema.MatrixOffset()
 	matLen := b.schema.QueriesPerRow * counters.NumCounters
-	matrix := make([]float64, matLen)
+	static := s.staticVector()
+	input := make([]float64, len(static)+len(dynamic)+matLen)
+	n := copy(input, static[:])
+	n += copy(input[n:], dynamic)
+	// The neighbours' weighted matrices accumulate in the input itself.
+	matrix := input[n:]
 	for k, i := range nb.rows {
-		feats := b.library.Rows[i].Features
-		for j := 0; j < matLen; j++ {
-			matrix[j] += nb.weights[k] * feats[off+j]
+		feats := b.library.Rows[i].Features[off : off+matLen]
+		for j := range matrix {
+			matrix[j] += nb.weights[k] * feats[j]
 		}
 	}
-
-	input := make([]float64, 0, b.schema.NumFeatures())
-	static := s.staticVector()
-	input = append(input, static[:]...)
-	input = append(input, dynamic...)
-	input = append(input, matrix...)
 	return input, nil
 }
 
@@ -672,7 +671,7 @@ func (b *InputBuilder) nearest(s Scenario, k int) []int {
 		idx  int
 		dist float64
 	}
-	var cands []cand
+	cands := make([]cand, 0, len(b.library.Rows))
 	for pass := 0; pass < 2 && len(cands) == 0; pass++ {
 		for i, r := range b.library.Rows {
 			if pass == 0 && r.Service != s.Service {

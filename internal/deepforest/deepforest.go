@@ -10,6 +10,7 @@ package deepforest
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"stac/internal/forest"
 	"stac/internal/obs"
@@ -147,6 +148,32 @@ type Model struct {
 	features int // input width the model was trained on
 	grains   []*grain
 	cascade  [][]*forest.Forest // [level][forest]
+
+	scratch sync.Pool // *scratch sized for this model, so Predict allocates nothing
+}
+
+// scratch is one forward pass's working memory: the cascade input laid
+// out as [x | MGS outputs | previous level's concepts], the current
+// level's concepts, and one MGS window.
+type scratch struct {
+	input, level, window []float64
+}
+
+// getScratch takes a pooled scratch, or builds one sized for the model.
+// Return it with m.scratch.Put.
+func (m *Model) getScratch() *scratch {
+	if s, ok := m.scratch.Get().(*scratch); ok {
+		return s
+	}
+	width := 0
+	for _, level := range m.cascade {
+		width = max(width, len(level))
+	}
+	return &scratch{
+		input:  make([]float64, m.features+m.NumMGSFeatures()+width),
+		level:  make([]float64, width),
+		window: make([]float64, m.windowSize()),
+	}
 }
 
 // NumFeatures returns the input width the model was trained on; Predict
@@ -173,18 +200,6 @@ func (g *grain) extract(m MatrixSpec, x []float64, r, c int, dst []float64) {
 	}
 }
 
-// transform computes the grain's representational features for one row:
-// the window forest's prediction at every position.
-func (g *grain) transform(m MatrixSpec, x []float64) []float64 {
-	out := make([]float64, len(g.positions))
-	buf := make([]float64, g.wr*g.wc)
-	for p, pos := range g.positions {
-		g.extract(m, x, pos[0], pos[1], buf)
-		out[p] = g.forest.Predict(buf)
-	}
-	return out
-}
-
 // NumMGSFeatures returns the total representational feature count.
 func (m *Model) NumMGSFeatures() int {
 	n := 0
@@ -192,6 +207,30 @@ func (m *Model) NumMGSFeatures() int {
 		n += len(g.positions)
 	}
 	return n
+}
+
+// windowSize returns the largest grain's window cell count.
+func (m *Model) windowSize() int {
+	n := 0
+	for _, g := range m.grains {
+		n = max(n, g.wr*g.wc)
+	}
+	return n
+}
+
+// fillBase writes one row's base features into dst: the row's first
+// NumFeatures values, then every grain's window-forest prediction at each
+// of its positions. window holds at least windowSize values.
+func (m *Model) fillBase(dst, x, window []float64) {
+	n := copy(dst, x[:m.features])
+	for _, g := range m.grains {
+		w := window[:g.wr*g.wc]
+		for _, pos := range g.positions {
+			g.extract(m.cfg.Matrix, x, pos[0], pos[1], w)
+			dst[n] = g.forest.Predict(w)
+			n++
+		}
+	}
 }
 
 // Train fits a deep forest on rows x with targets y.
@@ -216,42 +255,47 @@ func Train(x [][]float64, y []float64, cfg Config, rng *stats.RNG) (*Model, erro
 		model.grains = append(model.grains, g)
 	}
 
-	// Base features for the cascade: original ++ MGS. Rows are
-	// independent (pure forest evaluation), so fan them out; the result
-	// is identical at any worker count.
-	base := make([][]float64, len(x))
+	// Each row is laid out as [x | MGS outputs | previous level's
+	// concepts], as forward lays out its input. Rows are independent
+	// (pure forest evaluation), so fan them out; the result is identical
+	// at any worker count.
+	base := model.features + model.NumMGSFeatures()
+	rows := make([][]float64, len(x))
 	_ = par.ForEach(cfg.Workers, len(x), func(i int) error {
-		base[i] = model.baseFeatures(x[i])
+		rows[i] = make([]float64, base+cfg.ForestsPerLevel)
+		model.fillBase(rows[i], x[i], make([]float64, model.windowSize()))
 		return nil
 	})
 
 	// --- Cascade ---
-	concepts := make([][]float64, len(x)) // previous level's OOF concepts
-	for i := range concepts {
-		concepts[i] = nil
-	}
+	// Level 0 reads the base features; each later level also reads the
+	// previous level's out-of-fold concepts, written in place once every
+	// forest of that level is trained.
+	input := make([][]float64, len(x))
+	oof := make([][]float64, cfg.ForestsPerLevel)
+	width := base
 	for level := 0; level < cfg.CascadeLevels; level++ {
 		levelSpan := obs.StartSpan("deepforest/cascade/level" + strconv.Itoa(level))
-		input := augment(base, concepts)
-		levelForests := make([]*forest.Forest, cfg.ForestsPerLevel)
-		next := make([][]float64, len(x))
-		for i := range next {
-			next[i] = make([]float64, cfg.ForestsPerLevel)
+		for i, row := range rows {
+			input[i] = row[:width]
 		}
+		levelForests := make([]*forest.Forest, cfg.ForestsPerLevel)
 		for f := 0; f < cfg.ForestsPerLevel; f++ {
 			fcfg := cascadeForestConfig(cfg, f)
-			oof, full, err := crossFit(input, y, fcfg, cfg.KFolds, rng.Split())
+			var err error
+			oof[f], levelForests[f], err = crossFit(input, y, fcfg, cfg.KFolds, rng.Split())
 			if err != nil {
 				levelSpan.End()
 				return nil, err
 			}
-			levelForests[f] = full
-			for i := range next {
-				next[i][f] = oof[i]
+		}
+		for i, row := range rows {
+			for f := range oof {
+				row[base+f] = oof[f][i]
 			}
 		}
 		model.cascade = append(model.cascade, levelForests)
-		concepts = next
+		width = base + cfg.ForestsPerLevel
 		levelSpan.End()
 	}
 	return model, nil
@@ -368,69 +412,48 @@ func crossFit(x [][]float64, y []float64, fc forest.Config, k int, rng *stats.RN
 	return oof, full, nil
 }
 
-// baseFeatures computes original ++ MGS features for one row.
-func (m *Model) baseFeatures(x []float64) []float64 {
-	out := append([]float64(nil), x...)
-	for _, g := range m.grains {
-		out = append(out, g.transform(m.cfg.Matrix, x)...)
-	}
-	return out
-}
-
-// augment concatenates per-row concepts onto base features.
-func augment(base [][]float64, concepts [][]float64) [][]float64 {
-	out := make([][]float64, len(base))
-	for i := range base {
-		if concepts[i] == nil {
-			out[i] = base[i]
-		} else {
-			row := make([]float64, 0, len(base[i])+len(concepts[i]))
-			row = append(row, base[i]...)
-			row = append(row, concepts[i]...)
-			out[i] = row
-		}
-	}
-	return out
-}
-
-// Predict returns the deep forest's output for one feature vector: the
-// mean of the final cascade level's forests.
+// Predict returns the deep forest's output for one feature vector of
+// NumFeatures values: the mean of the final cascade level's forests. It
+// allocates nothing once the model's scratch pool is warm.
 func (m *Model) Predict(x []float64) float64 {
-	_, final := m.forward(x)
-	return final
+	return m.forward(x, nil)
 }
 
 // Concepts returns the concatenated concept activations of every cascade
 // level for one row — the learned representation used by the §5.2
 // insight experiment.
 func (m *Model) Concepts(x []float64) []float64 {
-	concepts, _ := m.forward(x)
+	n := 0
+	for _, level := range m.cascade {
+		n += len(level)
+	}
+	concepts := make([]float64, n)
+	m.forward(x, concepts)
 	return concepts
 }
 
-// forward runs MGS + cascade, returning all concept activations and the
-// final prediction.
-func (m *Model) forward(x []float64) ([]float64, float64) {
-	base := m.baseFeatures(x)
-	var all []float64
-	var prev []float64
+// forward runs MGS + cascade and returns the final prediction. A non-nil
+// concepts receives every level's concept activations, level by level.
+func (m *Model) forward(x, concepts []float64) float64 {
+	s := m.getScratch()
+	base := m.features + m.NumMGSFeatures()
+	m.fillBase(s.input, x, s.window)
+	width := base
 	final := 0.0
 	for _, level := range m.cascade {
-		input := base
-		if prev != nil {
-			input = append(append([]float64(nil), base...), prev...)
-		}
-		cur := make([]float64, len(level))
+		input, cur := s.input[:width], s.level[:len(level)]
 		sum := 0.0
 		for f, fr := range level {
 			cur[f] = fr.Predict(input)
 			sum += cur[f]
 		}
-		all = append(all, cur...)
-		prev = cur
+		concepts = concepts[copy(concepts, cur):]
+		copy(s.input[base:], cur)
+		width = base + len(level)
 		final = sum / float64(len(level))
 	}
-	return all, final
+	m.scratch.Put(s)
+	return final
 }
 
 // PredictBatch predicts every row, fanning rows across the model's

@@ -126,6 +126,41 @@ func TestConceptsShape(t *testing.T) {
 	}
 }
 
+// TestPredictAllocatesNothing pins the cold serving path's model half: a
+// warm FastConfig model predicts from pooled scratch without allocating.
+// Predict, Concepts and PredictBatch's workers share that scratch; each
+// prediction equals the mean of its row's last concept level, and the
+// batch equals the rows predicted one by one.
+func TestPredictAllocatesNothing(t *testing.T) {
+	x, y, spec := benchProblem(54)
+	cfg := FastConfig(spec)
+	m, err := Train(x, y, cfg, stats.NewRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Predict(x[0])
+	allocs := testing.AllocsPerRun(100, func() { m.Predict(x[1]) })
+	if !raceEnabled && allocs != 0 {
+		t.Errorf("Predict allocates %v times per call, want 0", allocs)
+	}
+	for i := range 4 {
+		c := m.Concepts(x[i])
+		last := c[len(c)-cfg.ForestsPerLevel:]
+		sum := 0.0
+		for _, v := range last {
+			sum += v
+		}
+		if got, want := m.Predict(x[i]), sum/float64(len(last)); got != want {
+			t.Errorf("row %d: Predict = %v, want its last concept level's mean %v", i, got, want)
+		}
+	}
+	for i, got := range m.PredictBatch(x) {
+		if want := m.Predict(x[i]); got != want {
+			t.Fatalf("row %d: PredictBatch = %v, Predict = %v", i, got, want)
+		}
+	}
+}
+
 func TestDeterministicTraining(t *testing.T) {
 	x, y, spec := synthMatrix(100, 3, 12, 10, 11)
 	a, err := Train(x, y, testConfig(spec), stats.NewRNG(12))

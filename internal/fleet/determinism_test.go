@@ -129,6 +129,8 @@ type goldenRun struct {
 	err      error
 	spec     uint64 // fleet/speculative_runs
 	discards uint64 // fleet/speculative_discards
+	plans    uint64 // fleet/speculative_plans
+	dropped  uint64 // fleet/speculative_plans_discarded
 	nodeRuns uint64 // fleet/node_runs
 	testbed  uint64 // testbed/runs
 }
@@ -147,6 +149,8 @@ func goldenRuns() []goldenRun {
 	goldenRunsOnce.Do(func() {
 		specRuns := obs.C("fleet/speculative_runs")
 		discards := obs.C("fleet/speculative_discards")
+		plans := obs.C("fleet/speculative_plans")
+		dropped := obs.C("fleet/speculative_plans_discarded")
 		nodeRuns := obs.C("fleet/node_runs")
 		testbedRuns := obs.C("testbed/runs")
 		cfgs := goldenFleetConfigs()
@@ -160,6 +164,7 @@ func goldenRuns() []goldenRun {
 				c := cfgs[name]
 				c.Workers = workers
 				spec0, disc0 := specRuns.Load(), discards.Load()
+				plans0, dropped0 := plans.Load(), dropped.Load()
 				node0, tb0 := nodeRuns.Load(), testbedRuns.Load()
 				r := goldenRun{name: name, workers: workers}
 				res, err := Run(c)
@@ -169,6 +174,7 @@ func goldenRuns() []goldenRun {
 					r.digest = fleetDigest(res)
 				}
 				r.spec, r.discards = specRuns.Load()-spec0, discards.Load()-disc0
+				r.plans, r.dropped = plans.Load()-plans0, dropped.Load()-dropped0
 				r.nodeRuns, r.testbed = nodeRuns.Load()-node0, testbedRuns.Load()-tb0
 				goldenRunsAll = append(goldenRunsAll, r)
 			}

@@ -274,6 +274,7 @@ func (st *state) speculate(e int) *plan {
 	}
 	p := st.routePlan(e, st.specRouter, st.specCold)
 	p.spec = true
+	fleetSpecPlans.Inc()
 	st.submit(p)
 	return p
 }
@@ -302,6 +303,7 @@ func (st *state) release(p *plan) { st.plans = append(st.plans, p) }
 // own and are ignored. The plan is never reused, so those runs may keep
 // writing to it.
 func (st *state) discard(p *plan) {
+	fleetSpecPlansDiscards.Inc()
 	for n := range p.runs {
 		if nr := &p.runs[n]; nr.active && !nr.state.CompareAndSwap(runQueued, runCancelled) {
 			fleetSpecDiscards.Inc()

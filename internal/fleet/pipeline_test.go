@@ -9,13 +9,14 @@ import (
 
 // TestSpeculationOutcomes pins that both outcomes of the epoch pipeline
 // run: the hot-shift golden config's SLA move invalidates the epoch
-// speculated under the old placement, so its started runs are
-// discarded, while balance never moves a service and keeps every
-// speculative run, and locality speculates nothing. Whatever the
-// outcome, only adopted runs count as fleet node runs, and the testbed
-// runs exactly the adopted runs plus the discarded ones. It reads the
-// counters of the golden runs TestFleetWorkerInvariant checks, at 1, 2
-// and 8 workers.
+// speculated under the old placement, so that plan is discarded, while
+// balance never moves a service and keeps every speculative plan, and
+// locality speculates nothing. These checks read the plan counters,
+// which do not depend on scheduling: how many of a discarded plan's runs
+// a worker had already started does. Whatever the outcome, only adopted
+// runs count as fleet node runs, and the testbed runs exactly the
+// adopted runs plus the discarded ones. It reads the counters of the
+// golden runs TestFleetWorkerInvariant checks, at 1, 2 and 8 workers.
 func TestSpeculationOutcomes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("15 golden fleet runs")
@@ -25,14 +26,14 @@ func TestSpeculationOutcomes(t *testing.T) {
 			t.Fatalf("%s workers=%d: %v", r.name, r.workers, r.err)
 		}
 		switch {
-		case r.name == "hotshift" && r.discards == 0:
-			t.Errorf("hotshift workers=%d: no speculative run discarded after the SLA move", r.workers)
-		case r.name == "balance" && (r.spec == 0 || r.discards != 0):
-			t.Errorf("balance workers=%d: %d speculative runs, %d discarded; want some, none discarded",
-				r.workers, r.spec, r.discards)
-		case r.name == "locality" && r.spec != 0:
-			t.Errorf("locality workers=%d: %d speculative runs; Locality routes on the previous epoch's warmth and must not speculate",
-				r.workers, r.spec)
+		case r.name == "hotshift" && r.dropped == 0:
+			t.Errorf("hotshift workers=%d: no speculative plan discarded after the SLA move", r.workers)
+		case r.name == "balance" && (r.plans == 0 || r.dropped != 0):
+			t.Errorf("balance workers=%d: %d speculative plans, %d discarded; want some, none discarded",
+				r.workers, r.plans, r.dropped)
+		case r.name == "locality" && (r.plans != 0 || r.spec != 0):
+			t.Errorf("locality workers=%d: %d speculative plans, %d runs; Locality routes on the previous epoch's warmth and must not speculate",
+				r.workers, r.plans, r.spec)
 		}
 		if r.testbed != r.nodeRuns+r.discards {
 			t.Errorf("%s workers=%d: testbed ran %d runs, want %d adopted + %d discarded",

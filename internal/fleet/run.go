@@ -22,9 +22,13 @@ var (
 	fleetResets     = obs.C("fleet/machine_resets")
 	// Speculation (pipeline.go): node runs started from a speculative
 	// plan, and those of them whose results were thrown away. Only the
-	// discarded ones add to testbed/runs beyond fleet/node_runs.
-	fleetSpecRuns     = obs.C("fleet/speculative_runs")
-	fleetSpecDiscards = obs.C("fleet/speculative_discards")
+	// discarded ones add to testbed/runs beyond fleet/node_runs. How many
+	// runs a worker starts before a discard depends on scheduling; the
+	// plan counters, one per speculated and per discarded epoch, do not.
+	fleetSpecRuns          = obs.C("fleet/speculative_runs")
+	fleetSpecDiscards      = obs.C("fleet/speculative_discards")
+	fleetSpecPlans         = obs.C("fleet/speculative_plans")
+	fleetSpecPlansDiscards = obs.C("fleet/speculative_plans_discarded")
 )
 
 // state carries a fleet run between epochs.

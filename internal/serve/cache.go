@@ -30,7 +30,9 @@ func quantise(v float64) int32 {
 // the hot generation reaches capacity it becomes the cold one and a
 // fresh hot map starts. Reads hit both; entries untouched for two
 // rotations fall out. This keeps eviction O(1) per insert with no
-// per-entry bookkeeping on the read path.
+// per-entry bookkeeping on the read path. Every generation starts empty
+// and grows with the distinct keys it stores, so the cache holds memory
+// in proportion to traffic rather than to capacity.
 type predCache struct {
 	mu        sync.RWMutex
 	capacity  int
@@ -46,7 +48,7 @@ func newPredCache(capacity int, reg *obs.Registry) *predCache {
 	}
 	return &predCache{
 		capacity: capacity,
-		hot:      make(map[cacheKey]PredictResponse, capacity),
+		hot:      make(map[cacheKey]PredictResponse),
 		hits:     reg.Counter("serve/cache/hits"),
 		misses:   reg.Counter("serve/cache/misses"),
 	}
@@ -71,7 +73,7 @@ func (c *predCache) put(k cacheKey, r PredictResponse) {
 	c.mu.Lock()
 	if len(c.hot) >= c.capacity {
 		c.cold = c.hot
-		c.hot = make(map[cacheKey]PredictResponse, c.capacity)
+		c.hot = make(map[cacheKey]PredictResponse)
 	}
 	c.hot[k] = r
 	c.mu.Unlock()
@@ -81,7 +83,7 @@ func (c *predCache) put(k cacheKey, r PredictResponse) {
 // belong to the retired version).
 func (c *predCache) clear() {
 	c.mu.Lock()
-	c.hot = make(map[cacheKey]PredictResponse, c.capacity)
+	c.hot = make(map[cacheKey]PredictResponse)
 	c.cold = nil
 	c.mu.Unlock()
 }

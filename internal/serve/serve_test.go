@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -133,6 +134,28 @@ func TestEnginePredictAndCache(t *testing.T) {
 	}
 }
 
+// TestEngineCacheKeepsNearbyLoadsApart pins the cache key's 1e-3
+// resolution: loads 0.76 and 0.84 are distinct conditions, so the
+// second request must miss the cache and reach the model.
+func TestEngineCacheKeepsNearbyLoadsApart(t *testing.T) {
+	m := &stubModel{ea: 0.7}
+	e := newTestEngine(t, m, Config{})
+	for _, load := range []float64{0.76, 0.84} {
+		req := testRequest()
+		req.Load = load
+		r, serr := e.Predict(req)
+		if serr != nil {
+			t.Fatalf("predict load %v: %v", load, serr)
+		}
+		if r.Cached {
+			t.Errorf("load %v answered from the cache entry of another load", load)
+		}
+	}
+	if got := m.rows.Load(); got != 2 {
+		t.Errorf("model saw %d rows, want 2 (one per distinct load)", got)
+	}
+}
+
 func TestEngineRejectsBadRequests(t *testing.T) {
 	e := newTestEngine(t, &stubModel{ea: 0.5}, Config{})
 	cases := []PredictRequest{
@@ -252,6 +275,9 @@ func TestBatcherDeadlineExceededBeforeModel(t *testing.T) {
 	}
 	if got := m.calls.Load(); got != 0 {
 		t.Fatalf("model invoked %d times for an already-expired request, want 0", got)
+	}
+	if got := reg.Counter("serve/shed/deadline").Load(); got != 1 {
+		t.Errorf("serve/shed/deadline = %d, want 1 for the one expired request", got)
 	}
 }
 
@@ -566,6 +592,29 @@ func TestPredCacheRotationEvicts(t *testing.T) {
 	}
 	if _, ok := c.get(k(3)); !ok {
 		t.Error("entry 3 should survive in the cold generation")
+	}
+}
+
+// TestPredCacheGrowsWithUse pins that the cache holds memory in
+// proportion to its entries, not to its capacity: at the default
+// capacity a cache holding 100 entries has allocated under 2 MB, where
+// one map sized for the whole capacity takes about 13.6 MB.
+func TestPredCacheGrowsWithUse(t *testing.T) {
+	capacity := Config{}.defaults().CacheSize
+	reg := obs.NewRegistry()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := newPredCache(capacity, reg)
+	for i := range 100 {
+		c.put(cacheKey{service: "redis", load: int32(i)}, PredictResponse{EA: float64(i)})
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("cache of capacity %d holding 100 entries allocated %.1f MB, want under 2 MB",
+			capacity, float64(got)/(1<<20))
+	}
+	if _, ok := c.get(cacheKey{service: "redis", load: 99}); !ok {
+		t.Error("entry 99 missing")
 	}
 }
 

@@ -518,7 +518,11 @@ func CalibrateServiceTime(proc Processor, k workload.Kernel, allocMask uint64, b
 // the iteration-count ramp into multi-second overshoot.
 func calibrateUncached(proc Processor, k workload.Kernel, allocMask uint64, base uint64, seed uint64) (float64, error) {
 	obs.C("testbed/calibrations").Inc()
-	h, err := cache.NewHierarchy(proc.HierarchyConfig())
+	// The kernel runs alone on core 0, so the other cores' private
+	// caches would never be touched.
+	hc := proc.HierarchyConfig()
+	hc.Cores = 1
+	h, err := cache.NewHierarchy(hc)
 	if err != nil {
 		return 0, fmt.Errorf("testbed: calibration hierarchy: %w", err)
 	}

@@ -3,12 +3,22 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"stac/internal/stats"
 )
 
 // KiB is one kibibyte; working-set sizes below are expressed with it.
 const KiB = 1024
+
+// Each Zipf kernel's popularity table is built once per process, on first
+// use, and shared by every pattern NewPattern returns: a stats.Zipf is
+// read-only after construction.
+var (
+	spstreamZipf = sync.OnceValue(func() *stats.Zipf { return stats.NewZipf(8*KiB/64, 1.0) })
+	socialZipf   = sync.OnceValue(func() *stats.Zipf { return stats.NewZipf(96*KiB/256, 1.25) })
+	redisZipf    = sync.OnceValue(func() *stats.Zipf { return stats.NewZipf(4096, 0.85) })
+)
 
 // Kernel describes one benchmark workload: its cache-access pattern
 // factory and its per-query computational demand. The eight kernels below
@@ -199,7 +209,7 @@ func Spstream() Kernel {
 					// Word-count state, Zipf-hot.
 					&ZipfRegion{
 						Base: base, RecordSize: 64, LinesPerOp: 1,
-						WriteFrac: 0.50, Zipf: stats.NewZipf(8*KiB/64, 1.0),
+						WriteFrac: 0.50, Zipf: spstreamZipf(),
 					},
 				},
 				Weights: []float64{0.70, 0.30},
@@ -259,7 +269,7 @@ func Social() Kernel {
 			// session store, colder than the compute kernels.
 			comps = append(comps, &ZipfRegion{
 				Base: base + 8<<20, RecordSize: 256, LinesPerOp: 2,
-				WriteFrac: 0.20, Zipf: stats.NewZipf(96*KiB/256, 1.25),
+				WriteFrac: 0.20, Zipf: socialZipf(),
 			})
 			weights = append(weights, 0.46)
 			return &Mixture{Components: comps, Weights: weights}
@@ -285,7 +295,7 @@ func Redis() Kernel {
 			// ways.
 			return &ZipfRegion{
 				Base: base, RecordSize: 256, LinesPerOp: 4,
-				WriteFrac: 0.25, Zipf: stats.NewZipf(4096, 0.85),
+				WriteFrac: 0.25, Zipf: redisZipf(),
 			}
 		},
 	}

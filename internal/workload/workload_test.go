@@ -108,6 +108,23 @@ func TestStreamNeverRepeats(t *testing.T) {
 	}
 }
 
+// TestZipfTablesShared pins that every pattern of a Zipf kernel draws
+// from the one popularity table built for the process, rather than
+// rebuilding it per pattern.
+func TestZipfTablesShared(t *testing.T) {
+	zipfOf := func(p Pattern) *stats.Zipf {
+		if m, ok := p.(*Mixture); ok {
+			p = m.Components[len(m.Components)-1]
+		}
+		return p.(*ZipfRegion).Zipf
+	}
+	for _, k := range []Kernel{Redis(), Social(), Spstream()} {
+		if a, b := zipfOf(k.NewPattern(0)), zipfOf(k.NewPattern(1<<32)); a != b {
+			t.Errorf("%s: two patterns built two Zipf tables", k.Name)
+		}
+	}
+}
+
 func TestZipfRegionTouchesConsecutiveLines(t *testing.T) {
 	z := &ZipfRegion{Base: 0, RecordSize: 256, LinesPerOp: 4, Zipf: stats.NewZipf(16, 0.9)}
 	r := stats.NewRNG(3)
