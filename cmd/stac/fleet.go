@@ -53,15 +53,17 @@ func cmdFleet(args []string) error {
 	})
 	cfg.Workers = *workers
 
-	specRuns, specDiscards := obs.C("fleet/speculative_runs"), obs.C("fleet/speculative_discards")
-	runs0, discards0 := specRuns.Load(), specDiscards.Load()
+	// The plan counters, unlike the node-run ones, do not depend on
+	// scheduling, so the line repeats across runs and worker counts.
+	plans, dropped := obs.C("fleet/speculative_plans"), obs.C("fleet/speculative_plans_discarded")
+	plans0, dropped0 := plans.Load(), dropped.Load()
 	res, err := fleet.Run(cfg)
 	if err != nil {
 		return err
 	}
 	printFleet(res, *scenario)
-	fmt.Printf("  speculative node runs: %d started, %d discarded\n",
-		specRuns.Load()-runs0, specDiscards.Load()-discards0)
+	fmt.Printf("  speculative epochs: %d routed ahead, %d discarded\n",
+		plans.Load()-plans0, dropped.Load()-dropped0)
 
 	if *jsonOut != "" {
 		buf, err := json.MarshalIndent(res, "", "  ")

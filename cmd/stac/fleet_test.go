@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stac/internal/fleet"
@@ -81,6 +83,58 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	if migrated.FleetP95 >= 0.5*static.FleetP95 {
 		t.Errorf("migrated fleet p95 %.6gs not below half of static %.6gs", migrated.FleetP95, static.FleetP95)
+	}
+}
+
+// fleetStdout runs `stac fleet` with args and returns what it printed.
+func fleetStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := cmdFleet(args)
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return printed
+}
+
+// TestFleetSpeculationLine pins the speculation line `stac fleet`
+// prints for hotshift at seed 1: five epochs are routed ahead of the
+// migrator and one, the epoch that first serves the SLA move, is
+// discarded. The line must not depend on the worker count or on
+// scheduling.
+func TestFleetSpeculationLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two six-epoch fleet scenarios")
+	}
+	const want = "  speculative epochs: 5 routed ahead, 1 discarded"
+	for _, workers := range []string{"1", "8"} {
+		out := fleetStdout(t, "-scenario", "hotshift", "-seed", "1", "-workers", workers)
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "  speculative") {
+				found = true
+				if line != want {
+					t.Errorf("workers=%s: printed %q, want %q", workers, line, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("workers=%s: no speculation line in\n%s", workers, out)
+		}
 	}
 }
 

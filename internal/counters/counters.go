@@ -88,19 +88,6 @@ func (s Sample) Scale(f float64) Sample {
 	return s
 }
 
-// Trace is a sequence of samples taken during a query execution or a
-// profiling window.
-type Trace []Sample
-
-// Aggregate sums a trace into a single sample.
-func (t Trace) Aggregate() Sample {
-	var out Sample
-	for _, s := range t {
-		out.Add(s)
-	}
-	return out
-}
-
 // SpatialOrder returns the counter indices in their spatially local order
 // (the declaration order above — correlated counters adjacent).
 func SpatialOrder() []int {

@@ -43,16 +43,6 @@ func TestSampleAddScale(t *testing.T) {
 	}
 }
 
-func TestTraceAggregate(t *testing.T) {
-	var s1, s2 Sample
-	s1[LLCLoads] = 1
-	s2[LLCLoads] = 2
-	tr := Trace{s1, s2}
-	if got := tr.Aggregate()[LLCLoads]; got != 3 {
-		t.Fatalf("aggregate = %v, want 3", got)
-	}
-}
-
 func TestShuffledOrderIsPermutation(t *testing.T) {
 	order := ShuffledOrder(42)
 	if len(order) != NumCounters {

@@ -22,7 +22,8 @@
 // Each epoch's machines start cold (the interval approximation — cache
 // state does not persist across epochs); locality-aware routing instead
 // reads warmth from the previous epoch's terminal LLC occupancy
-// (Machine.Snapshot), and migration adds the cold penalty on top.
+// (testbed.ServiceResult.OccupancyLines), and migration adds the cold
+// penalty on top.
 package fleet
 
 import (

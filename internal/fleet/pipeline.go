@@ -185,9 +185,7 @@ func (st *state) route(p *plan, d *draws, r *router, cold [][]int) int {
 	}
 }
 
-// build fills p's node runs from its schedules. Node machines run lean
-// (DisableCounterWindows): the merge consumes only query timings and
-// terminal occupancy, never counter windows.
+// build fills p's node runs from its schedules.
 func (st *state) build(p *plan, d *draws) {
 	for n, spec := range st.cfg.Nodes {
 		nr := &p.runs[n]
@@ -219,14 +217,13 @@ func (st *state) build(p *plan, d *draws) {
 		nr.condSvcs = svcSpecs
 		priv, shared := st.cfg.nodePlan(p.epoch, n)
 		nr.cond = testbed.Condition{
-			Processor:             spec.Processor,
-			Services:              svcSpecs,
-			PrivateWays:           priv,
-			SharedWays:            shared,
-			CoresPerService:       spec.CoresPerService,
-			Seed:                  d.seeds[n],
-			CalibrationSeed:       st.cfg.Seed + uint64(n)*104729 + 1,
-			DisableCounterWindows: true,
+			Processor:       spec.Processor,
+			Services:        svcSpecs,
+			PrivateWays:     priv,
+			SharedWays:      shared,
+			CoresPerService: spec.CoresPerService,
+			Seed:            d.seeds[n],
+			CalibrationSeed: st.cfg.Seed + uint64(n)*104729 + 1,
 		}.Defaults()
 		nr.active = true
 	}
@@ -386,7 +383,6 @@ func (st *state) runNode(e, n int, nr *nodeRun) error {
 	if err != nil {
 		return fmt.Errorf("fleet: epoch %d node %s: %w", e, st.cfg.Nodes[n].Name, err)
 	}
-	snap := m.Snapshot()
 	nr.truncated = res.Truncated
 	nr.resp, nr.out = nr.resp[:0], nr.out[:0]
 	for j := range res.Services {
@@ -398,7 +394,7 @@ func (st *state) runNode(e, n int, nr *nodeRun) error {
 		nr.out = append(nr.out, svcOut{
 			end:         len(nr.resp),
 			meanService: stats.Mean(nr.svcTimes),
-			occupancy:   float64(snap.Services[j].OccupancyLines),
+			occupancy:   float64(res.Services[j].OccupancyLines),
 		})
 	}
 	return nil

@@ -83,6 +83,27 @@ func TestLoadRejectsShortRows(t *testing.T) {
 	}
 }
 
+// nineStaticFile is a saved dataset whose schema lists a ninth static
+// feature, with a row of that schema's 592 features. The code writes
+// eight static features, so a model trained on it cannot be fed: serving
+// such a model with this dataset panicked in the model's input fill.
+func nineStaticFile(tb testing.TB) []byte {
+	ds := tinyDataset()
+	ds.Schema.Static = append(ds.Schema.Static, "ninth")
+	ds.Rows[0].Features = make([]float64, ds.Schema.NumFeatures())
+	var buf bytes.Buffer
+	if err := ds.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestLoadRejectsUnwrittenFeatures(t *testing.T) {
+	if _, err := Load(bytes.NewReader(nineStaticFile(t))); err == nil {
+		t.Fatal("dataset with a ninth static feature accepted")
+	}
+}
+
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile("/nonexistent/nope.gz"); err == nil {
 		t.Fatal("missing file accepted")

@@ -41,6 +41,21 @@ func TestSchemaValidateRejectsBadOrder(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Fatal("zero queries per row accepted")
 	}
+	s = DefaultSchema()
+	s.QueriesPerRow = math.MaxInt/counters.NumCounters + 1
+	if err := s.Validate(); err == nil {
+		t.Fatal("queries per row overflowing NumFeatures accepted")
+	}
+	s = DefaultSchema()
+	s.Dynamic = s.Dynamic[:2]
+	if err := s.Validate(); err == nil {
+		t.Fatal("two dynamic features accepted")
+	}
+	s = DefaultSchema()
+	s.Static[0], s.Static[1] = s.Static[1], s.Static[0]
+	if err := s.Validate(); err == nil {
+		t.Fatal("reordered static features accepted")
+	}
 }
 
 func collectSmall(t *testing.T) Dataset {

@@ -12,6 +12,7 @@ package profile
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stac/internal/counters"
 	"stac/internal/stats"
@@ -95,16 +96,27 @@ type Schema struct {
 	CounterOrder []int
 }
 
+// staticNames and dynamicNames are the feature blocks at the head of
+// every row, in the order BuildRows and core's InputBuilder write them.
+var (
+	staticNames = []string{
+		"load", "timeout", "partner_load", "partner_timeout",
+		"private_ways", "shared_ways", "boost_ratio", "sample_period",
+	}
+	dynamicNames = []string{"queue_delay_rel_mean", "queue_delay_rel_max", "boosted_frac"}
+)
+
+// maxQueriesPerRow is the largest QueriesPerRow whose NumFeatures fits
+// in an int.
+var maxQueriesPerRow = (math.MaxInt - len(staticNames) - len(dynamicNames)) / counters.NumCounters
+
 // DefaultSchema returns the layout used throughout the evaluation:
 // 8 static + 3 dynamic + 20×29 matrix = 591 features (the paper's "580
 // original features" plus condition features).
 func DefaultSchema() Schema {
 	return Schema{
-		Static: []string{
-			"load", "timeout", "partner_load", "partner_timeout",
-			"private_ways", "shared_ways", "boost_ratio", "sample_period",
-		},
-		Dynamic:       []string{"queue_delay_rel_mean", "queue_delay_rel_max", "boosted_frac"},
+		Static:        slices.Clone(staticNames),
+		Dynamic:       slices.Clone(dynamicNames),
 		QueriesPerRow: 20,
 		CounterOrder:  counters.SpatialOrder(),
 	}
@@ -122,10 +134,18 @@ func (s Schema) MatrixOffset() int { return len(s.Static) + len(s.Dynamic) }
 // counters × queries.
 func (s Schema) MatrixShape() (int, int) { return counters.NumCounters, s.QueriesPerRow }
 
-// Validate reports schema errors.
+// Validate reports schema errors. Only the counter matrix varies: the
+// static and dynamic blocks must be DefaultSchema's, since those are the
+// features the code writes.
 func (s Schema) Validate() error {
-	if s.QueriesPerRow <= 0 {
-		return fmt.Errorf("profile: QueriesPerRow must be positive")
+	if !slices.Equal(s.Static, staticNames) {
+		return fmt.Errorf("profile: static features %q, want %q", s.Static, staticNames)
+	}
+	if !slices.Equal(s.Dynamic, dynamicNames) {
+		return fmt.Errorf("profile: dynamic features %q, want %q", s.Dynamic, dynamicNames)
+	}
+	if s.QueriesPerRow <= 0 || s.QueriesPerRow > maxQueriesPerRow {
+		return fmt.Errorf("profile: QueriesPerRow %d outside [1, %d]", s.QueriesPerRow, maxQueriesPerRow)
 	}
 	if len(s.CounterOrder) != counters.NumCounters {
 		return fmt.Errorf("profile: counter order has %d entries, want %d",

@@ -9,13 +9,17 @@ import (
 
 // TestCounterAttributionConservation checks the proxy's counter
 // book-keeping: the counters attributed to individual query executions
-// must never exceed the service-level window totals, and measured
-// queries should account for the bulk of them (warm-up and in-flight
-// executions take the rest).
+// must never exceed the service's cumulative counters at the end of the
+// run, and measured queries should account for the bulk of them
+// (warm-up and in-flight executions take the rest).
 func TestCounterAttributionConservation(t *testing.T) {
 	cond := Pair(workload.Redis(), workload.BFS(), 0.8, 0.8, 1, 1, 53)
 	cond.QueriesPerService = 120
-	res, err := Run(cond)
+	m, err := NewMachine(cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,46 +28,22 @@ func TestCounterAttributionConservation(t *testing.T) {
 	// The faster service keeps serving unmeasured queries while the slow
 	// one catches up, so only a floor applies there.
 	minShare := map[string]float64{"bfs": 0.5, "redis": 0.05}
-	for _, svc := range res.Services {
+	for i, svc := range res.Services {
+		total := m.snapshot(m.svcs[i])
 		for _, ctr := range []counters.Counter{counters.LLCAccesses, counters.L1DLoads, counters.Instructions} {
-			var windowTotal, queryTotal float64
-			for _, w := range svc.WindowTrace {
-				windowTotal += w[ctr]
-			}
+			var queryTotal float64
 			for _, q := range svc.Queries {
 				queryTotal += q.Counters[ctr]
 			}
-			if windowTotal <= 0 {
+			if total[ctr] <= 0 {
 				t.Fatalf("%s: no %v activity recorded", svc.Name, ctr)
 			}
-			if queryTotal > windowTotal*1.0001 {
-				t.Fatalf("%s: attributed %v (%v) exceeds window total (%v)",
-					svc.Name, ctr, queryTotal, windowTotal)
+			if queryTotal > total[ctr]*1.0001 {
+				t.Fatalf("%s: attributed %v (%v) exceeds the service total (%v)",
+					svc.Name, ctr, queryTotal, total[ctr])
 			}
-			if frac := queryTotal / windowTotal; frac < minShare[svc.Name] {
+			if frac := queryTotal / total[ctr]; frac < minShare[svc.Name] {
 				t.Fatalf("%s: measured queries hold only %.0f%% of %v", svc.Name, 100*frac, ctr)
-			}
-		}
-	}
-}
-
-// TestQueryTraceSamplesMatchAggregate pins the per-query trace/aggregate
-// relationship.
-func TestQueryTraceSamplesMatchAggregate(t *testing.T) {
-	cond := Pair(workload.Redis(), workload.BFS(), 0.7, 0.7, 1, 1, 59)
-	cond.QueriesPerService = 60
-	res, err := Run(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, svc := range res.Services {
-		for qi, q := range svc.Queries {
-			agg := q.Trace.Aggregate()
-			for c := 0; c < counters.NumCounters; c++ {
-				if diff := agg[c] - q.Counters[c]; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("%s query %d: trace aggregate differs from stored counters at %v",
-						svc.Name, qi, counters.Counter(c))
-				}
 			}
 		}
 	}

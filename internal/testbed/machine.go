@@ -27,7 +27,9 @@ type exec struct {
 	boosted   bool
 	done      bool
 
-	trace       counters.Trace
+	// attributed sums the execution's share of every counter window it
+	// ran in, in window order.
+	attributed  counters.Sample
 	windowBusy  float64
 	measuredIdx int // index into service.measured, -1 when unmeasured
 }
@@ -72,10 +74,8 @@ type service struct {
 	// low-order bits of every counter feature vary run to run.
 	windowExecs []*exec
 
-	completed   int
-	measured    []QueryResult
-	windowTrace counters.Trace
-	queueDepths []float64
+	completed int
+	measured  []QueryResult
 
 	// Memory-bandwidth contention state: EWMA of the service's LLC miss
 	// rate (misses per simulated second) and the latency pressure other
@@ -137,7 +137,9 @@ type Machine struct {
 	// spans differ from cond.SamplePeriod; bandwidth-style rates divide
 	// by the real span, not the nominal period.
 	windowStart float64
-	windowSpans []float64
+	// depths collects every window's queue depth without atomics;
+	// publishMetrics adds them to testbed/queue_depth in one flush.
+	depths obs.LocalHistogram
 
 	// Event-calendar state: busyExecs counts in-flight executions across
 	// all services and doneSvcs counts services that reached their query
@@ -146,12 +148,8 @@ type Machine struct {
 	busyExecs int
 	doneSvcs  int
 
-	// lean mirrors cond.DisableCounterWindows: skip window sampling and
-	// per-query counter attribution (see the Condition field's doc).
-	lean bool
-
-	// scratch recycles exec nodes (and their per-window trace backings)
-	// across dispatches and, via scratchPool, across runs.
+	// scratch recycles exec nodes across dispatches and, via scratchPool,
+	// across runs.
 	scratch *runScratch
 }
 
@@ -166,28 +164,17 @@ type runScratch struct {
 var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 
 // newExec returns a zeroed exec node, reusing a retired node's storage
-// (including its trace backing array) when one is available.
+// when one is available.
 func (m *Machine) newExec() *exec {
 	sc := m.scratch
 	if n := len(sc.free); n > 0 {
 		e := sc.free[n-1]
 		sc.free[n-1] = nil
 		sc.free = sc.free[:n-1]
-		trace := e.trace[:0]
-		*e = exec{trace: trace}
+		*e = exec{}
 		return e
 	}
 	return &exec{}
-}
-
-// retireExec recycles a finalised execution's node. Measured traces were
-// donated to the result and must not be reused; warmup/overflow traces
-// keep their backing.
-func (m *Machine) retireExec(e *exec) {
-	if e.measuredIdx >= 0 {
-		e.trace = nil
-	}
-	m.scratch.free = append(m.scratch.free, e)
 }
 
 // Hierarchy exposes the machine's simulated cache hierarchy so callers
@@ -301,7 +288,6 @@ func (m *Machine) init(cond Condition, masks []cat.MaskPolicy) error {
 		s.queue.reset()
 	}
 	m.cond = cond
-	m.lean = cond.DisableCounterWindows
 	if m.rng == nil {
 		m.rng = stats.NewRNG(cond.Seed)
 	} else {
@@ -311,7 +297,6 @@ func (m *Machine) init(cond Condition, masks []cat.MaskPolicy) error {
 		m.scratch = scratchPool.Get().(*runScratch)
 	}
 	m.windowStart = 0
-	m.windowSpans = m.windowSpans[:0]
 	m.busyExecs = 0
 	m.doneSvcs = 0
 
@@ -614,7 +599,7 @@ func (m *Machine) Run() (*RunResult, error) {
 				m.updatePressure(quantum)
 				rot++
 				now += quantum
-				if !m.lean && now >= nextSample {
+				if now >= nextSample {
 					m.closeWindow(now)
 					nextSample += cond.SamplePeriod
 				}
@@ -655,26 +640,18 @@ func (m *Machine) Run() (*RunResult, error) {
 		}
 
 		now += quantum
-		if !m.lean && now >= nextSample {
+		if now >= nextSample {
 			m.closeWindow(now)
 			nextSample += cond.SamplePeriod
 		}
 	}
 	allDone := m.doneSvcs == nSvcs
 	// Final flush so completed queries get their counter attribution.
-	// When the loop just sampled (span zero) no counters have accrued:
-	// appending another window would duplicate the last queue-depth entry
-	// and record a meaningless all-zero delta, so only the pending
-	// measured-query attribution is finalised. Lean runs track no
-	// windows: reap already retired every finished execution.
-	if !m.lean {
-		if now > m.windowStart {
-			m.closeWindow(now)
-		} else {
-			for _, s := range m.svcs {
-				m.finalizeWindow(s)
-			}
-		}
+	// When the loop just sampled, that sample already attributed every
+	// finished execution, and another window would span zero time: it
+	// would count the last queue depth twice and divide by zero.
+	if now > m.windowStart {
+		m.closeWindow(now)
 	}
 
 	if !allDone {
@@ -687,10 +664,8 @@ func (m *Machine) Run() (*RunResult, error) {
 			Spec:           s.spec,
 			ExpServiceTime: s.expService,
 			Queries:        s.measured,
-			WindowTrace:    s.windowTrace,
-			WindowSpans:    append([]float64(nil), m.windowSpans...),
-			QueueDepths:    s.queueDepths,
 			BoostRatio:     s.boostRatio,
+			OccupancyLines: m.h.LLC().Occupancy(s.clos),
 		})
 	}
 	m.publishMetrics(now)
@@ -728,7 +703,6 @@ func (m *Machine) publishMetrics(simTime float64) {
 	publishLevel("cache/l1/", l1)
 	publishLevel("cache/l2/", l2)
 	respHist := obs.H("testbed/response_seconds")
-	depthHist := obs.H("testbed/queue_depth")
 	for _, s := range m.svcs {
 		llc := m.h.LLC().Stats(s.clos)
 		prefix := "cache/llc/svc/" + s.name + "/"
@@ -738,10 +712,8 @@ func (m *Machine) publishMetrics(simTime float64) {
 		for _, q := range s.measured {
 			respHist.Observe(q.Completion - q.Arrival)
 		}
-		for _, d := range s.queueDepths {
-			depthHist.Observe(d)
-		}
 	}
+	m.depths.Flush(obs.H("testbed/queue_depth"))
 }
 
 func addStats(dst *cache.Stats, s cache.Stats) {
@@ -787,9 +759,7 @@ func (m *Machine) dispatch(s *service, now float64) {
 		ne.clock = now
 		ne.measuredIdx = -1
 		s.running[ci] = ne
-		if !m.lean {
-			s.windowExecs = append(s.windowExecs, ne)
-		}
+		s.windowExecs = append(s.windowExecs, ne)
 		m.busyExecs++
 	}
 }
@@ -920,14 +890,6 @@ func (m *Machine) reap(s *service) {
 				Boosted:    e.boosted,
 			})
 		}
-		if m.lean {
-			// No window attribution: the execution is finished the moment
-			// it is reaped. Nothing was donated to the result, so the node
-			// (and its trace backing) recycles unconditionally.
-			e.measuredIdx = -1
-			m.retireExec(e)
-			continue
-		}
 		// Completed execs stay in windowExecs until the next sample so
 		// their final window share is attributed.
 	}
@@ -979,7 +941,6 @@ func (m *Machine) closeWindow(now float64) {
 		m.sample(s, span)
 	}
 	m.windowStart = now
-	m.windowSpans = append(m.windowSpans, span)
 }
 
 // sample closes a counter window spanning `span` simulated seconds:
@@ -1003,9 +964,7 @@ func (m *Machine) sample(s *service, span float64) {
 	delta[counters.MemBandwidth] = (delta[counters.MemReads] + delta[counters.MemWrites]) * LineSize / span
 	delta[counters.LLCOccupancy] = float64(m.h.LLC().Occupancy(s.clos))
 	delta[counters.QueueDepth] = float64(s.queue.len())
-
-	s.windowTrace = append(s.windowTrace, delta)
-	s.queueDepths = append(s.queueDepths, float64(s.queue.len()))
+	m.depths.Observe(delta[counters.QueueDepth])
 
 	var totalBusy float64
 	for _, e := range s.windowExecs {
@@ -1014,7 +973,7 @@ func (m *Machine) sample(s *service, span float64) {
 	keep := s.windowExecs[:0]
 	for _, e := range s.windowExecs {
 		if totalBusy > 0 && e.windowBusy > 0 {
-			e.trace = append(e.trace, delta.Scale(e.windowBusy/totalBusy))
+			e.attributed.Add(delta.Scale(e.windowBusy / totalBusy))
 		}
 		e.windowBusy = 0
 		if e.done {
@@ -1029,29 +988,11 @@ func (m *Machine) sample(s *service, span float64) {
 	s.windowExecs = keep
 }
 
-// finalizeWindow completes pending measured-query attribution without
-// opening a counter window: used by the final flush when the run ended
-// exactly on a sample boundary and a zero-span window would otherwise
-// be appended. Any execution still listed is done (the loop only exits
-// with idle cores), already carries its full per-window trace, and just
-// needs its aggregate published into s.measured.
-func (m *Machine) finalizeWindow(s *service) {
-	for i, e := range s.windowExecs {
-		if e.done {
-			m.finalizeExec(s, e)
-		}
-		s.windowExecs[i] = nil
-	}
-	s.windowExecs = s.windowExecs[:0]
-}
-
-// finalizeExec publishes a completed execution's attributed counter
-// trace into its measured-query slot, if it has one, then recycles the
-// node.
+// finalizeExec publishes a completed execution's attributed counters
+// into its measured-query slot, if it has one, then recycles the node.
 func (m *Machine) finalizeExec(s *service, e *exec) {
 	if e.measuredIdx >= 0 {
-		s.measured[e.measuredIdx].Counters = e.trace.Aggregate()
-		s.measured[e.measuredIdx].Trace = e.trace
+		s.measured[e.measuredIdx].Counters = e.attributed
 	}
-	m.retireExec(e)
+	m.scratch.free = append(m.scratch.free, e)
 }

@@ -70,13 +70,11 @@ func sameRunResult(a, b *RunResult) bool {
 	}
 	for i := range a.Services {
 		sa, sb := a.Services[i], b.Services[i]
-		if sa.Name != sb.Name || sa.ExpServiceTime != sb.ExpServiceTime || sa.BoostRatio != sb.BoostRatio {
+		if sa.Name != sb.Name || sa.ExpServiceTime != sb.ExpServiceTime || sa.BoostRatio != sb.BoostRatio ||
+			sa.OccupancyLines != sb.OccupancyLines {
 			return false
 		}
-		if !reflect.DeepEqual(sa.Queries, sb.Queries) ||
-			!reflect.DeepEqual(sa.WindowTrace, sb.WindowTrace) ||
-			!reflect.DeepEqual(sa.WindowSpans, sb.WindowSpans) ||
-			!reflect.DeepEqual(sa.QueueDepths, sb.QueueDepths) {
+		if !reflect.DeepEqual(sa.Queries, sb.Queries) {
 			return false
 		}
 	}
@@ -87,7 +85,7 @@ func sameRunResult(a, b *RunResult) bool {
 // reuse: running condition B on a machine that previously ran condition
 // A (any A, including a different processor geometry) produces results
 // byte-identical to a freshly constructed machine's run of B — query
-// timings, attributed counters, window traces and all.
+// timings, attributed counters and terminal occupancy.
 func TestMachineResetEquivalence(t *testing.T) {
 	conds := resetConditions()
 	// One persistent machine walks every condition, including repeats so
@@ -142,58 +140,5 @@ func TestResetSeedChange(t *testing.T) {
 	}
 	if sameRunResult(a, b) {
 		t.Error("different seeds produced identical runs after Reset")
-	}
-}
-
-// TestLeanRunMatchesFull pins the lean-mode contract: with
-// DisableCounterWindows set, every query timing, the truncation flag,
-// simulated time and the terminal machine snapshot (occupancy, queue
-// depths) are bit-identical to the full run — only the counter windows
-// and per-query attribution are absent.
-func TestLeanRunMatchesFull(t *testing.T) {
-	for ci, cond := range resetConditions() {
-		fm, err := NewMachine(cond)
-		if err != nil {
-			t.Fatalf("cond %d: full: %v", ci, err)
-		}
-		full, err := fm.Run()
-		if err != nil {
-			t.Fatalf("cond %d: full run: %v", ci, err)
-		}
-		lc := cond
-		lc.DisableCounterWindows = true
-		m, err := NewMachine(lc)
-		if err != nil {
-			t.Fatalf("cond %d: lean: %v", ci, err)
-		}
-		lean, err := m.Run()
-		if err != nil {
-			t.Fatalf("cond %d: lean run: %v", ci, err)
-		}
-		if lean.Truncated != full.Truncated || lean.SimTime != full.SimTime {
-			t.Fatalf("cond %d: run envelope differs: truncated %v/%v simtime %v/%v",
-				ci, lean.Truncated, full.Truncated, lean.SimTime, full.SimTime)
-		}
-		for si := range full.Services {
-			fs, ls := full.Services[si], lean.Services[si]
-			if len(fs.Queries) != len(ls.Queries) {
-				t.Fatalf("cond %d %s: query count %d vs %d", ci, fs.Name, len(fs.Queries), len(ls.Queries))
-			}
-			for qi := range fs.Queries {
-				fq, lq := fs.Queries[qi], ls.Queries[qi]
-				if fq.Arrival != lq.Arrival || fq.Start != lq.Start ||
-					fq.Completion != lq.Completion || fq.Boosted != lq.Boosted {
-					t.Fatalf("cond %d %s query %d: timings differ", ci, fs.Name, qi)
-				}
-			}
-			if len(ls.WindowTrace) != 0 || len(ls.QueueDepths) != 0 {
-				t.Errorf("cond %d %s: lean run recorded windows", ci, fs.Name)
-			}
-		}
-		// The terminal snapshot — the warmth signal the fleet's locality
-		// router consumes — must be identical too.
-		if !reflect.DeepEqual(m.Snapshot(), fm.Snapshot()) {
-			t.Errorf("cond %d: terminal snapshots differ between lean and full runs", ci)
-		}
 	}
 }

@@ -20,8 +20,6 @@ type QueryResult struct {
 	// Counters aggregates the 29 sampled counters attributed to this
 	// execution (the proxy differentiates service-level samples by query).
 	Counters counters.Sample
-	// Trace holds the per-window attributed samples.
-	Trace counters.Trace
 }
 
 // Response returns completion − arrival (time in system).
@@ -44,18 +42,12 @@ type ServiceResult struct {
 	ExpServiceTime float64
 	// Queries holds per-query measurements (post-warmup).
 	Queries []QueryResult
-	// WindowTrace holds per-sampling-window service-level counter deltas
-	// for the whole run.
-	WindowTrace counters.Trace
-	// WindowSpans holds the real simulated duration of each window in
-	// WindowTrace. Windows close on quantum boundaries, so spans vary
-	// around the nominal Condition.SamplePeriod; rate-style counters in
-	// WindowTrace (MemBandwidth) are normalised by these spans.
-	WindowSpans []float64
-	// QueueDepths samples the queue length at every window boundary.
-	QueueDepths []float64
 	// BoostRatio is l_a′/l_a for the service's policy.
 	BoostRatio float64
+	// OccupancyLines is the service's LLC occupancy in cache lines when
+	// the run ended: the cache-warmth signal the fleet's locality-aware
+	// router reads.
+	OccupancyLines int
 }
 
 // ResponseTimes extracts the response time of every measured query.

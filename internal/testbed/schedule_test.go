@@ -135,54 +135,3 @@ func TestCalibrationSeedDecouplesRunSeed(t *testing.T) {
 		t.Error("different run seeds produced identical first-query timing")
 	}
 }
-
-// TestSnapshotDoesNotPerturbRun pins Snapshot's read-only contract:
-// interleaving snapshots before and after Run leaves the golden digest
-// bit-identical to an undisturbed run of the same condition.
-func TestSnapshotDoesNotPerturbRun(t *testing.T) {
-	cond := goldenConditions()["boost-pair"]
-
-	plain, err := NewMachine(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPlain, err := plain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	probed, err := NewMachine(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := probed.Snapshot()
-	resProbed, err := probed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := probed.Snapshot()
-
-	if a, b := goldenDigest(resPlain), goldenDigest(resProbed); a != b {
-		t.Errorf("snapshots perturbed the run: digest %s vs %s", b, a)
-	}
-	if got := goldenDigest(resProbed); got != goldenWant["boost-pair"] {
-		t.Errorf("probed run digest %s, want pinned %s", got, goldenWant["boost-pair"])
-	}
-
-	for i, s := range before.Services {
-		if s.Completed != 0 || s.QueueDepth != 0 || s.Running != 0 {
-			t.Errorf("pre-run snapshot of service %d shows activity: %+v", i, s)
-		}
-	}
-	// The run stops once every service has met its measurement budget;
-	// faster services may have completed more (and queries can still be
-	// in flight), so the terminal probe asserts lower bounds only.
-	for i, s := range after.Services {
-		if want := cond.QueriesPerService + cond.WarmupQueries; s.Completed < want {
-			t.Errorf("post-run snapshot service %d completed %d, want >= %d", i, s.Completed, want)
-		}
-		if s.OccupancyLines <= 0 {
-			t.Errorf("post-run snapshot service %d has no LLC occupancy — warmth signal dead", i)
-		}
-	}
-}
