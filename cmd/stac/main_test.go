@@ -70,3 +70,14 @@ func TestCmdSearchRejectsNegativeTopK(t *testing.T) {
 		t.Fatalf("err = %v, want an error naming -topk", err)
 	}
 }
+
+// TestCmdSearchRejectsLoadWithoutArrivals: at -load 1e-6 both services'
+// arrival rates round to zero on the surrogate's simulation grid. The
+// search used to list NaN scores and exit 0; it must fail, so stac
+// exits 1.
+func TestCmdSearchRejectsLoadWithoutArrivals(t *testing.T) {
+	err := cmdSearch([]string{"-load", "1e-6", "-validate=false", "-accesses", "2000"})
+	if err == nil || !strings.Contains(err.Error(), "arrival rate") {
+		t.Fatalf("err = %v, want an error naming the arrival rate", err)
+	}
+}

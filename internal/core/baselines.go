@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"stac/internal/counters"
 	"stac/internal/forest"
 	"stac/internal/gbm"
 	"stac/internal/linreg"
@@ -86,9 +87,8 @@ func (c cnnModel) Predict(features []float64) float64 { return c.n.Predict(featu
 // with no queueing stage (Figure 6's "CNN").
 func TrainCNNResponse(ds profile.Dataset, cfg neural.Config, rng *stats.RNG) (ResponseModel, error) {
 	if cfg.Filters == 0 {
-		rows, cols := ds.Schema.MatrixShape()
 		cfg = neural.DefaultConfig(neural.MatrixSpec{
-			Offset: ds.Schema.MatrixOffset(), Rows: rows, Cols: cols,
+			Offset: profile.MatrixOffset, Rows: counters.NumCounters, Cols: profile.QueriesPerRow,
 		})
 	}
 	n, err := neural.Train(ds.Features(), ds.MeanResponses(), cfg, rng)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"stac/internal/counters"
 	"stac/internal/profile"
 )
 
@@ -12,9 +11,8 @@ import (
 // testbed: rows at known static conditions with distinctive matrices.
 func syntheticLibrary(t *testing.T) profile.Dataset {
 	t.Helper()
-	schema := profile.DefaultSchema()
 	mk := func(service string, load, timeout float64, fill float64, cond int) profile.Row {
-		f := make([]float64, schema.NumFeatures())
+		f := make([]float64, profile.NumFeatures)
 		f[0] = load
 		f[1] = timeout
 		f[2] = 0.5
@@ -22,7 +20,7 @@ func syntheticLibrary(t *testing.T) profile.Dataset {
 		f[4], f[5], f[6], f[7] = 2, 2, 2, 1
 		// Dynamic features.
 		f[8], f[9], f[10] = 0.2, 0.5, 0.3
-		for i := schema.MatrixOffset(); i < len(f); i++ {
+		for i := profile.MatrixOffset; i < len(f); i++ {
 			f[i] = fill
 		}
 		return profile.Row{
@@ -32,7 +30,7 @@ func syntheticLibrary(t *testing.T) profile.Dataset {
 		}
 	}
 	return profile.Dataset{
-		Schema: schema,
+		Schema: profile.DefaultSchema(),
 		Rows: []profile.Row{
 			mk("redis", 0.3, 1, 10, 0),
 			mk("redis", 0.9, 1, 90, 1),
@@ -50,9 +48,11 @@ func TestInputBuilderPrefersSameService(t *testing.T) {
 	}
 	b.neighbours = 1
 	s := Scenario{
-		Service: "redis", Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2,
-		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
-		ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
+		Static: profile.Static{
+			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
+			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		},
+		Service: "redis", ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
 	}
 	in, err := b.Build(s)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestInputBuilderPrefersSameService(t *testing.T) {
 	}
 	// Nearest redis row at load 0.9, timeout 1 has matrix fill 90; the
 	// bfs row (fill 500) must not be chosen despite matching statics.
-	got := in[lib.Schema.MatrixOffset()]
+	got := in[profile.MatrixOffset]
 	if got != 90 {
 		t.Fatalf("borrowed matrix fill %v, want 90 (nearest same-service row)", got)
 	}
@@ -74,9 +74,11 @@ func TestInputBuilderWeightsByDistance(t *testing.T) {
 	}
 	b.neighbours = 3
 	s := Scenario{
-		Service: "redis", Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2,
-		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
-		ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
+		Static: profile.Static{
+			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
+			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		},
+		Service: "redis", ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
 	}
 	in, err := b.Build(s)
 	if err != nil {
@@ -84,7 +86,7 @@ func TestInputBuilderWeightsByDistance(t *testing.T) {
 	}
 	// The exact-match row (fill 90) must dominate the weighted average of
 	// the three redis rows (fills 10, 90, 50); a plain mean would give 50.
-	got := in[lib.Schema.MatrixOffset()]
+	got := in[profile.MatrixOffset]
 	if got <= 55 || got > 90 {
 		t.Fatalf("weighted matrix fill %v, want in (55, 90] (dominated by the exact match)", got)
 	}
@@ -97,9 +99,11 @@ func TestInputBuilderFallsBackAcrossServices(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Scenario{
-		Service: "social", Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2,
-		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
-		ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
+		Static: profile.Static{
+			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
+			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		},
+		Service: "social", ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
 	}
 	if _, err := b.Build(s); err != nil {
 		t.Fatalf("no-same-service scenario should fall back, got %v", err)
@@ -117,8 +121,8 @@ func TestInputBuilderShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in) != lib.Schema.NumFeatures() {
-		t.Fatalf("input has %d features, want %d", len(in), lib.Schema.NumFeatures())
+	if len(in) != profile.NumFeatures {
+		t.Fatalf("input has %d features, want %d", len(in), profile.NumFeatures)
 	}
 	// Static features copied from the scenario.
 	if in[0] != lib.Rows[0].Features[0] || in[1] != lib.Rows[0].Features[1] {
@@ -147,7 +151,7 @@ func TestInputBuilderBuildAllocs(t *testing.T) {
 func TestBaseServiceCVPrefersUnboostedWindows(t *testing.T) {
 	lib := syntheticLibrary(t)
 	// Mark one row as unboosted with a distinct CV.
-	lib.Rows[2].Features[10] = 0.0 // boosted fraction
+	lib.Rows[2].Features[profile.NumStatic+profile.DynBoostedFrac] = 0.0
 	lib.Rows[2].STCV = 0.9
 	b, err := NewInputBuilder(lib)
 	if err != nil {
@@ -167,9 +171,11 @@ func TestBaseServiceCVPrefersUnboostedWindows(t *testing.T) {
 
 func TestPredictWithEAConsistency(t *testing.T) {
 	s := Scenario{
-		Service: "redis", Load: 0.6, Timeout: 0, PartnerLoad: 0.5, PartnerTimeout: 2,
-		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
-		ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+		Static: profile.Static{
+			Load: 0.6, Timeout: 0, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
+			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		},
+		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
 	}
 	// With timeout 0 every query is boosted: aggregate service time must
 	// approach ExpService/(eaPolicy·R).
@@ -190,9 +196,11 @@ func TestPredictWithEAConsistency(t *testing.T) {
 
 func TestPredictWithEANeverBoost(t *testing.T) {
 	s := Scenario{
-		Service: "redis", Load: 0.6, Timeout: profile.TimeoutCap, PartnerLoad: 0.5,
-		PartnerTimeout: 2, PrivateWays: 2, SharedWays: 2, BoostRatio: 2,
-		SamplePeriodRel: 1, ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+		Static: profile.Static{
+			Load: 0.6, Timeout: profile.TimeoutCap, PartnerLoad: 0.5, PartnerTimeout: 2,
+			PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		},
+		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
 	}
 	eaNever := 0.45
 	pred, err := PredictWithEA(s, eaNever, eaNever, 20000)
@@ -214,9 +222,11 @@ func TestPredictWithEANeverBoost(t *testing.T) {
 // its sequential twin.
 func TestPooledSimulatorsConcurrent(t *testing.T) {
 	base := Scenario{
-		Service: "redis", PartnerLoad: 0.5, PartnerTimeout: 2,
-		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
-		ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+		Static: profile.Static{
+			PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2, SharedWays: 2,
+			BoostRatio: 2, SamplePeriodRel: 1,
+		},
+		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
 	}
 	type out struct{ ea, queue Prediction }
 	var scenarios []Scenario
@@ -262,11 +272,4 @@ func TestPooledSimulatorsConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-func TestCounterMatrixLengthInvariant(t *testing.T) {
-	schema := profile.DefaultSchema()
-	if schema.QueriesPerRow*counters.NumCounters != schema.NumFeatures()-schema.MatrixOffset() {
-		t.Fatal("schema matrix accounting inconsistent")
-	}
 }

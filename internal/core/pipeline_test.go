@@ -87,9 +87,11 @@ func TestPredictResponseDirectionality(t *testing.T) {
 	p := trainPredictor(t, ds, 13)
 
 	base := Scenario{
-		Service: "redis", Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 3,
-		PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
-		ExpService: ds.Rows[0].ExpService, ServiceCV: 0.35, Servers: 2,
+		Static: profile.Static{
+			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 3, PrivateWays: 2,
+			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
+		},
+		Service: "redis", ExpService: ds.Rows[0].ExpService, ServiceCV: 0.35, Servers: 2,
 	}
 	hi, err := p.PredictResponse(base)
 	if err != nil {
@@ -134,8 +136,10 @@ func TestScenarioRoundTrip(t *testing.T) {
 
 func TestScenarioValidate(t *testing.T) {
 	good := Scenario{
-		Service: "redis", Load: 0.5, Timeout: 1, BoostRatio: 2,
-		ExpService: 1e-4, Servers: 2,
+		Static: profile.Static{
+			Load: 0.5, Timeout: 1, BoostRatio: 2,
+		},
+		Service: "redis", ExpService: 1e-4, Servers: 2,
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)

@@ -40,22 +40,12 @@ type EAModel interface {
 // features of Equation 2 plus the calibrated quantities the modeler knows
 // from profiling.
 type Scenario struct {
+	// Static holds the service's own and its partner's load and
+	// timeout, the cache layout, and the counter sampling period
+	// relative to service time.
+	profile.Static
 	// Service is the workload's kernel name (selects library profiles).
 	Service string
-	// Load is the service's arrival intensity ρ.
-	Load float64
-	// Timeout is the STAP timeout relative to expected service time.
-	Timeout float64
-	// PartnerLoad and PartnerTimeout describe the collocated service.
-	PartnerLoad    float64
-	PartnerTimeout float64
-	// PrivateWays, SharedWays and BoostRatio describe the cache layout.
-	PrivateWays int
-	SharedWays  int
-	BoostRatio  float64
-	// SamplePeriodRel is the counter sampling period relative to service
-	// time (a static condition the profiler also records).
-	SamplePeriodRel float64
 	// ExpService is the calibrated baseline service time.
 	ExpService float64
 	// ServiceCV is the service-time coefficient of variation.
@@ -87,20 +77,12 @@ func (s Scenario) Validate() error {
 // ScenarioFromRow reconstructs the scenario a profile row was measured
 // under — used when evaluating prediction accuracy on held-out rows.
 func ScenarioFromRow(r profile.Row, servers int) Scenario {
-	st := profile.StaticOf(r.Features)
 	return Scenario{
-		Service:         r.Service,
-		Load:            st.Load,
-		Timeout:         st.Timeout,
-		PartnerLoad:     st.PartnerLoad,
-		PartnerTimeout:  st.PartnerTimeout,
-		PrivateWays:     st.PrivateWays,
-		SharedWays:      st.SharedWays,
-		BoostRatio:      st.BoostRatio,
-		SamplePeriodRel: st.SamplePeriodRel,
-		ExpService:      r.ExpService,
-		ServiceCV:       r.STCV,
-		Servers:         servers,
+		Static:     profile.StaticOf(r.Features),
+		Service:    r.Service,
+		ExpService: r.ExpService,
+		ServiceCV:  r.STCV,
+		Servers:    servers,
 	}
 }
 
@@ -308,9 +290,10 @@ func (p *Predictor) applyCorrection(s Scenario, pred Prediction) Prediction {
 }
 
 // MatrixSpec exposes the profile matrix location for model constructors.
-func MatrixSpec(schema profile.Schema) deepforest.MatrixSpec {
-	rows, cols := schema.MatrixShape()
-	return deepforest.MatrixSpec{Offset: schema.MatrixOffset(), Rows: rows, Cols: cols}
+// Every schema puts the matrix at profile.MatrixOffset; a schema orders
+// only the matrix's rows.
+func MatrixSpec(profile.Schema) deepforest.MatrixSpec {
+	return deepforest.MatrixSpec{Offset: profile.MatrixOffset, Rows: counters.NumCounters, Cols: profile.QueriesPerRow}
 }
 
 // TrainDeepForestEA trains the paper's deep-forest effective-allocation
@@ -325,7 +308,7 @@ func TrainDeepForestEA(ds profile.Dataset, cfg deepforest.Config, rng *stats.RNG
 
 // predictEA predicts effective cache allocation for a scenario whose
 // neighbourhood nb is already found, given a dynamic-feature estimate.
-func (p *Predictor) predictEA(s Scenario, nb neighbourhood, dynamic []float64) (float64, error) {
+func (p *Predictor) predictEA(s Scenario, nb neighbourhood, dynamic [profile.NumDynamic]float64) (float64, error) {
 	input, err := p.builder.build(s, nb, dynamic)
 	if err != nil {
 		return 0, err
@@ -381,10 +364,8 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 	never := s
 	never.Timeout = profile.TimeoutCap
 	nbNever := p.builder.neighbourhood(never)
-	neverDynamic := append([]float64(nil), dynamic...)
-	if len(neverDynamic) >= 3 {
-		neverDynamic[2] = 0 // never-boost windows have zero boosted queries
-	}
+	neverDynamic := dynamic
+	neverDynamic[profile.DynBoostedFrac] = 0 // never-boost windows have zero boosted queries
 
 	var pred Prediction
 	for iter := 0; iter <= p.iterations; iter++ {
@@ -402,10 +383,10 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 			return Prediction{}, err
 		}
 		// Dynamic-condition feedback for the next iteration.
-		dynamic = []float64{
-			res.MeanQueueDelay() / s.ExpService,
-			stats.Percentile(res.QueueDelays, 95) / s.ExpService,
-			res.BoostedFrac,
+		dynamic = [profile.NumDynamic]float64{
+			profile.DynQueueDelayMean: res.MeanQueueDelay() / s.ExpService,
+			profile.DynQueueDelayMax:  stats.Percentile(res.QueueDelays, 95) / s.ExpService,
+			profile.DynBoostedFrac:    res.BoostedFrac,
 		}
 	}
 	return pred, nil
@@ -520,20 +501,6 @@ func clampRate(v, lo, hi float64) float64 {
 	return v
 }
 
-// staticVector returns the scenario's static features in schema order.
-func (s Scenario) staticVector() [profile.NumStatic]float64 {
-	return profile.Static{
-		Load:            s.Load,
-		Timeout:         s.Timeout,
-		PartnerLoad:     s.PartnerLoad,
-		PartnerTimeout:  s.PartnerTimeout,
-		PrivateWays:     s.PrivateWays,
-		SharedWays:      s.SharedWays,
-		BoostRatio:      s.BoostRatio,
-		SamplePeriodRel: s.SamplePeriodRel,
-	}.Vector()
-}
-
 // InputBuilder reconstructs model inputs for unseen runtime conditions
 // from a profiling library: the scenario's static features, dynamic
 // features estimated from the nearest profiled conditions, and the
@@ -543,7 +510,6 @@ func (s Scenario) staticVector() [profile.NumStatic]float64 {
 // model may use a profile observed under the test condition.
 type InputBuilder struct {
 	library    profile.Dataset
-	schema     profile.Schema
 	neighbours int
 }
 
@@ -552,7 +518,7 @@ func NewInputBuilder(library profile.Dataset) (*InputBuilder, error) {
 	if library.Len() == 0 {
 		return nil, fmt.Errorf("core: empty profile library")
 	}
-	return &InputBuilder{library: library, schema: library.Schema, neighbours: 4}, nil
+	return &InputBuilder{library: library, neighbours: 4}, nil
 }
 
 // neighbourhood is a scenario's nearest library rows with their
@@ -574,7 +540,7 @@ func (b *InputBuilder) neighbourhood(s Scenario) neighbourhood {
 // neighbourWeights returns inverse-distance weights for the scenario's
 // nearest rows (normalised to sum to 1).
 func (b *InputBuilder) neighbourWeights(s Scenario, nn []int) []float64 {
-	static := s.staticVector()
+	static := s.Vector()
 	w := make([]float64, len(nn))
 	total := 0.0
 	for i, idx := range nn {
@@ -596,12 +562,11 @@ func (b *InputBuilder) Build(s Scenario) ([]float64, error) {
 
 // dynamics estimates a scenario's dynamic features by distance-weighted
 // averaging over its neighbourhood's profiled conditions.
-func (b *InputBuilder) dynamics(nb neighbourhood) []float64 {
-	dyn := make([]float64, len(b.schema.Dynamic))
-	off := len(b.schema.Static)
+func (b *InputBuilder) dynamics(nb neighbourhood) [profile.NumDynamic]float64 {
+	var dyn [profile.NumDynamic]float64
 	for k, i := range nb.rows {
 		for j := range dyn {
-			dyn[j] += nb.weights[k] * b.library.Rows[i].Features[off+j]
+			dyn[j] += nb.weights[k] * b.library.Rows[i].Features[profile.NumStatic+j]
 		}
 	}
 	return dyn
@@ -614,8 +579,7 @@ func (b *InputBuilder) dynamics(nb neighbourhood) []float64 {
 // them would double-count variance the Stage 3 simulator already models
 // through its boost mechanics.
 func (b *InputBuilder) BaseServiceCV(service string) float64 {
-	off := len(b.schema.Static)
-	boostedIdx := off + 2 // dynamic feature: boosted fraction
+	const boostedIdx = profile.NumStatic + profile.DynBoostedFrac
 	var sum float64
 	n := 0
 	for pass := 0; pass < 2 && n == 0; pass++ {
@@ -638,24 +602,18 @@ func (b *InputBuilder) BaseServiceCV(service string) float64 {
 
 // build assembles static ++ dynamic ++ the matrix borrowed from the
 // scenario's neighbourhood nb.
-func (b *InputBuilder) build(s Scenario, nb neighbourhood, dynamic []float64) ([]float64, error) {
-	if len(dynamic) != len(b.schema.Dynamic) {
-		return nil, fmt.Errorf("core: dynamic features have %d values, want %d",
-			len(dynamic), len(b.schema.Dynamic))
-	}
+func (b *InputBuilder) build(s Scenario, nb neighbourhood, dynamic [profile.NumDynamic]float64) ([]float64, error) {
 	if len(nb.rows) == 0 {
 		return nil, fmt.Errorf("core: no library rows to borrow profiles from")
 	}
-	off := b.schema.MatrixOffset()
-	matLen := b.schema.QueriesPerRow * counters.NumCounters
-	static := s.staticVector()
-	input := make([]float64, len(static)+len(dynamic)+matLen)
-	n := copy(input, static[:])
-	n += copy(input[n:], dynamic)
+	static := s.Vector()
+	input := make([]float64, profile.NumFeatures)
+	copy(input, static[:])
+	copy(input[profile.NumStatic:], dynamic[:])
 	// The neighbours' weighted matrices accumulate in the input itself.
-	matrix := input[n:]
+	matrix := input[profile.MatrixOffset:]
 	for k, i := range nb.rows {
-		feats := b.library.Rows[i].Features[off : off+matLen]
+		feats := b.library.Rows[i].Features[profile.MatrixOffset:profile.NumFeatures]
 		for j := range matrix {
 			matrix[j] += nb.weights[k] * feats[j]
 		}
@@ -666,7 +624,7 @@ func (b *InputBuilder) build(s Scenario, nb neighbourhood, dynamic []float64) ([
 // nearest returns the indices of the k library rows closest to the
 // scenario in static-condition space, preferring rows of the same service.
 func (b *InputBuilder) nearest(s Scenario, k int) []int {
-	static := s.staticVector()
+	static := s.Vector()
 	type cand struct {
 		idx  int
 		dist float64

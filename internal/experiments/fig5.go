@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"stac/internal/core"
+	"stac/internal/counters"
 	"stac/internal/neural"
 	"stac/internal/par"
+	"stac/internal/profile"
 	"stac/internal/stats"
 )
 
@@ -53,9 +55,8 @@ func Fig5(opts Options) (*Report, error) {
 		return a
 	}
 
-	rows, cols := ds.Schema.MatrixShape()
 	cnnCfg := neural.DefaultConfig(neural.MatrixSpec{
-		Offset: ds.Schema.MatrixOffset(), Rows: rows, Cols: cols,
+		Offset: profile.MatrixOffset, Rows: counters.NumCounters, Cols: profile.QueriesPerRow,
 	})
 	cnnCfg.Epochs = 30
 

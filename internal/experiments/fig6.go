@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"stac/internal/core"
+	"stac/internal/counters"
 	"stac/internal/neural"
 	"stac/internal/obs"
 	"stac/internal/par"
@@ -125,9 +126,8 @@ func Fig6(opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	rows, cols := pooledTrain.Schema.MatrixShape()
 	cnnCfg := neural.DefaultConfig(neural.MatrixSpec{
-		Offset: pooledTrain.Schema.MatrixOffset(), Rows: rows, Cols: cols,
+		Offset: profile.MatrixOffset, Rows: counters.NumCounters, Cols: profile.QueriesPerRow,
 	})
 	cnnCfg.Epochs = 40
 	cnn, err := core.TrainCNNResponse(pooledTrain, cnnCfg, stats.NewRNG(seed+5))

@@ -293,10 +293,8 @@ func Fig7c(opts Options) (*Report, error) {
 
 // reorderDataset permutes the counter rows of every feature matrix.
 func reorderDataset(ds profile.Dataset, order []int) profile.Dataset {
-	out := profile.Dataset{Schema: ds.Schema, Rows: make([]profile.Row, len(ds.Rows))}
-	out.Schema.CounterOrder = order
-	off := ds.Schema.MatrixOffset()
-	q := ds.Schema.QueriesPerRow
+	out := profile.Dataset{Schema: profile.Schema{CounterOrder: order}, Rows: make([]profile.Row, len(ds.Rows))}
+	const off, q = profile.MatrixOffset, profile.QueriesPerRow
 	for i, r := range ds.Rows {
 		nr := r
 		nr.Features = append([]float64(nil), r.Features...)

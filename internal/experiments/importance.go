@@ -31,7 +31,7 @@ func Importance(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	imp := f.FeatureImportance(ds.Schema.NumFeatures())
+	imp := f.FeatureImportance(profile.NumFeatures)
 
 	type feat struct {
 		idx int
@@ -55,9 +55,9 @@ func Importance(opts Options) (*Report, error) {
 	var staticShare, dynamicShare, counterShare float64
 	for i, v := range imp {
 		switch {
-		case i < len(ds.Schema.Static):
+		case i < profile.NumStatic:
 			staticShare += v
-		case i < ds.Schema.MatrixOffset():
+		case i < profile.MatrixOffset:
 			dynamicShare += v
 		default:
 			counterShare += v
@@ -81,15 +81,14 @@ func Importance(opts Options) (*Report, error) {
 // featureName renders a human-readable name for a feature index in a
 // profile schema.
 func featureName(s profile.Schema, idx int) string {
-	if idx < len(s.Static) {
-		return "static:" + s.Static[idx]
+	switch {
+	case idx < profile.NumStatic:
+		return "static:" + profile.FeatureNames[idx]
+	case idx < profile.MatrixOffset:
+		return "dynamic:" + profile.FeatureNames[idx]
 	}
-	idx -= len(s.Static)
-	if idx < len(s.Dynamic) {
-		return "dynamic:" + s.Dynamic[idx]
-	}
-	idx -= len(s.Dynamic)
-	ctr := s.CounterOrder[idx/s.QueriesPerRow]
-	q := idx % s.QueriesPerRow
+	idx -= profile.MatrixOffset
+	ctr := s.CounterOrder[idx/profile.QueriesPerRow]
+	q := idx % profile.QueriesPerRow
 	return fmt.Sprintf("ctr:%s[q%d]", counters.Counter(ctr), q)
 }

@@ -41,13 +41,12 @@ func Insight(opts Options) (*Report, error) {
 	conceptPts := make([][]float64, test.Len())
 	counterPts := make([][]float64, test.Len())
 	score := make([]float64, test.Len())
-	off := test.Schema.MatrixOffset()
+	const off, q = profile.MatrixOffset, profile.QueriesPerRow
 	for i, r := range test.Rows {
 		conceptPts[i] = model.Concepts(r.Features)
 		// Aggregate counters (mean over the window's queries, normalised
 		// per counter below).
 		agg := make([]float64, counters.NumCounters)
-		q := test.Schema.QueriesPerRow
 		for c := 0; c < counters.NumCounters; c++ {
 			s := 0.0
 			for j := 0; j < q; j++ {

@@ -106,7 +106,9 @@ func BenchmarkMigrationDecision(b *testing.B) {
 		}
 		// migrate after epoch 1: the hot service's profile doubles at
 		// epoch 2, so the model predicts the miss and evaluates moves.
-		st.migrate(1)
+		if err := st.migrate(1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	if len(st.migrations) == 0 {

@@ -50,21 +50,21 @@ type soloKey struct {
 // under its current-plan private span. Calibration is deterministic in
 // (service, node, span), so results are memoised for the run's lifetime;
 // repeat calls cost a map lookup instead of a cache-simulation sweep.
-func (st *state) soloOn(svc, node, epoch int) float64 {
+func (st *state) soloOn(svc, node, epoch int) (float64, error) {
 	priv, _ := st.cfg.nodePlan(epoch, node)
 	key := soloKey{svc: svc, node: node, priv: priv}
 	if exp, ok := st.soloMemo[key]; ok {
-		return exp
+		return exp, nil
 	}
 	spec := st.cfg.Nodes[node]
 	mask := cat.Setting{Offset: 0, Length: priv}.Mask()
 	exp, err := testbed.CalibrateServiceTime(spec.Processor, st.cfg.Services[svc].Kernel,
 		mask, uint64(svc+1)<<32, st.cfg.Seed+uint64(svc)*7919)
 	if err != nil {
-		exp = st.expRef[svc]
+		return 0, fmt.Errorf("fleet: calibrating %s on %s: %w", st.svcName[svc], spec.Name, err)
 	}
 	st.soloMemo[key] = exp
-	return exp
+	return exp, nil
 }
 
 // muEstimate predicts the service's mean service time on a node for the
@@ -73,15 +73,21 @@ func (st *state) soloOn(svc, node, epoch int) float64 {
 // candidate's solo calibration; without one (e.g. a drain before any
 // traffic) the candidate's solo time is inflated by a per-hosted-service
 // contention increment.
-func (st *state) muEstimate(svc, from, to, epoch int, hostedOnTo int) float64 {
-	soloTo := st.soloOn(svc, to, epoch+1)
+func (st *state) muEstimate(svc, from, to, epoch int, hostedOnTo int) (float64, error) {
+	soloTo, err := st.soloOn(svc, to, epoch+1)
+	if err != nil {
+		return 0, err
+	}
 	if from >= 0 && st.meas[svc][from] > 0 {
-		soloFrom := st.soloOn(svc, from, epoch)
+		soloFrom, err := st.soloOn(svc, from, epoch)
+		if err != nil {
+			return 0, err
+		}
 		if soloFrom > 0 {
-			return soloTo * (st.meas[svc][from] / soloFrom)
+			return soloTo * (st.meas[svc][from] / soloFrom), nil
 		}
 	}
-	return soloTo * (1 + 0.1*float64(hostedOnTo))
+	return soloTo * (1 + 0.1*float64(hostedOnTo)), nil
 }
 
 // predKey identifies one migration prediction within a decision pass.
@@ -201,7 +207,7 @@ func (st *state) move(svc, from, to, epoch int, reason string, predFrom, predTo 
 // and the next epoch's arrival rate; replicas predicted over SLA move
 // to the candidate node with the best prediction, provided the win
 // clears the cold-start margin.
-func (st *state) migrate(e int) {
+func (st *state) migrate(e int) error {
 	clear(st.predMemo)
 	for i, s := range st.cfg.Services {
 		nextRate := st.rate[i] * s.rateAt(e+1)
@@ -214,7 +220,10 @@ func (st *state) migrate(e int) {
 				share = 1 / float64(len(st.placement[i]))
 			}
 			replicaRate := nextRate * share
-			muCur := st.muEstimate(i, n, n, e, st.hostedCount(n))
+			muCur, err := st.muEstimate(i, n, n, e, st.hostedCount(n))
+			if err != nil {
+				return err
+			}
 			predCur := st.predictP95(i, n, e, muCur, replicaRate, false)
 			if predCur <= st.sla[i] {
 				continue
@@ -224,7 +233,10 @@ func (st *state) migrate(e int) {
 				if !st.canHost(i, c, e+1) {
 					continue
 				}
-				mu := st.muEstimate(i, n, c, e, st.hostedCount(c))
+				mu, err := st.muEstimate(i, n, c, e, st.hostedCount(c))
+				if err != nil {
+					return err
+				}
 				pred := st.predictP95(i, c, e, mu, replicaRate, true)
 				if pred < bestPred {
 					best, bestPred = c, pred
@@ -236,6 +248,7 @@ func (st *state) migrate(e int) {
 			}
 		}
 	}
+	return nil
 }
 
 // drain force-migrates every service off the draining node, effective
@@ -259,13 +272,20 @@ func (st *state) drain(e int) error {
 			share = 1 / float64(len(st.placement[i]))
 		}
 		replicaRate := st.rate[i] * s.rateAt(e) * share
-		predFrom := st.predictP95(i, node, e, st.muEstimate(i, node, node, e, st.hostedCount(node)), replicaRate, false)
+		muFrom, err := st.muEstimate(i, node, node, e, st.hostedCount(node))
+		if err != nil {
+			return err
+		}
+		predFrom := st.predictP95(i, node, e, muFrom, replicaRate, false)
 		best, bestPred := -1, math.Inf(1)
 		for c := range st.cfg.Nodes {
 			if !st.canHost(i, c, e) {
 				continue
 			}
-			mu := st.muEstimate(i, node, c, e, st.hostedCount(c))
+			mu, err := st.muEstimate(i, node, c, e, st.hostedCount(c))
+			if err != nil {
+				return err
+			}
 			pred := st.predictP95(i, c, e, mu, replicaRate, true)
 			if pred < bestPred {
 				best, bestPred = c, pred

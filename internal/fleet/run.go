@@ -293,7 +293,9 @@ func (st *state) epoch(e int, spec *plan) (*plan, error) {
 
 	// Let the migrator adjust placement for the next epoch.
 	if st.cfg.Migrate && e+1 < st.cfg.Epochs {
-		st.migrate(e)
+		if err := st.migrate(e); err != nil {
+			return nil, err
+		}
 	}
 	st.dropEmptyNodes()
 	return next, nil

@@ -95,6 +95,26 @@ func TestScenarioHotShiftMigratorBeatsStatic(t *testing.T) {
 	}
 }
 
+// TestMigrateReturnsCalibrationError: a solo calibration that fails
+// fails the migrator's pass, where it used to stand in the reference
+// node's solo time uncounted. No validated Config reaches that path, so
+// the test breaks the hot service's node after set-up.
+func TestMigrateReturnsCalibrationError(t *testing.T) {
+	st, err := newState(ScenarioHotShift(1, true).Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.cfg.Services {
+		for n := range st.cfg.Nodes {
+			st.meas[i][n] = st.expRef[i] * 1.1
+		}
+	}
+	st.cfg.Nodes[st.placement[0][0]].Processor.Ways = 0
+	if err := st.migrate(1); err == nil || !strings.Contains(err.Error(), "calibrating") {
+		t.Fatalf("migrate on a node whose calibration fails: error %v, want the calibration error", err)
+	}
+}
+
 // TestScenarioRollout: the rolling CAT-plan change completes all
 // epochs, and actually changes machine behaviour relative to the
 // identical configuration without the rollout.

@@ -379,16 +379,18 @@ func ScenarioTemplate(lib profile.Dataset, service string, load, partnerLoad flo
 	}
 	n := float64(rows.Len())
 	return core.Scenario{
-		Service:         service,
-		Load:            load,
-		PartnerLoad:     partnerLoad,
-		PrivateWays:     int(priv/n + 0.5),
-		SharedWays:      int(shared/n + 0.5),
-		BoostRatio:      ratio / n,
-		SamplePeriodRel: period / n,
-		ExpService:      exp,
-		ServiceCV:       cv / n,
-		Servers:         2,
+		Static: profile.Static{
+			Load:            load,
+			PartnerLoad:     partnerLoad,
+			PrivateWays:     int(priv/n + 0.5),
+			SharedWays:      int(shared/n + 0.5),
+			BoostRatio:      ratio / n,
+			SamplePeriodRel: period / n,
+		},
+		Service:    service,
+		ExpService: exp,
+		ServiceCV:  cv / n,
+		Servers:    2,
 	}, nil
 }
 

@@ -14,7 +14,7 @@ type CollectOptions struct {
 	// KernelA and KernelB are the collocated workloads.
 	KernelA, KernelB workload.Kernel
 	// QueriesPerService per profiling run; each run yields roughly
-	// QueriesPerService / DefaultSchema().QueriesPerRow rows per service.
+	// QueriesPerService / QueriesPerRow rows per service.
 	QueriesPerService int
 	// SamplePeriod is the counter-sampling period passed to the testbed
 	// (0 = testbed default).

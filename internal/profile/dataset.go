@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 
 	"stac/internal/stats"
 )
@@ -43,15 +44,14 @@ func (d Dataset) MeanResponses() []float64 {
 	return out
 }
 
-// Append merges another dataset's rows; the schemas must agree in feature
-// count.
+// Append merges another dataset's rows; the schemas must agree in
+// counter order, or the merged matrices would mix two layouts.
 func (d *Dataset) Append(other Dataset) error {
 	if len(other.Rows) == 0 {
 		return nil
 	}
-	if d.Schema.NumFeatures() != other.Schema.NumFeatures() {
-		return fmt.Errorf("profile: schema mismatch: %d vs %d features",
-			d.Schema.NumFeatures(), other.Schema.NumFeatures())
+	if !slices.Equal(d.Schema.CounterOrder, other.Schema.CounterOrder) {
+		return fmt.Errorf("profile: schema mismatch: the counter orders differ")
 	}
 	d.Rows = append(d.Rows, other.Rows...)
 	return nil

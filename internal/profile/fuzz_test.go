@@ -13,17 +13,17 @@ import (
 // the schema and row-width checks instead of breaking in the gzip
 // layer; inputs marked compressed go to Load as they are, keeping the
 // gzip path covered. The seeds are a small saved dataset, as JSON and
-// as Save wrote it, and the JSON of one whose schema lists a ninth
-// static feature. Load must not panic or hang. An accepted dataset must
-// have a schema that passes Validate and rows of that schema's width,
-// and must survive Save∘Load unchanged.
+// as Save wrote it, and the JSON of one whose row is one feature wider
+// than NumFeatures. Load must not panic or hang. An accepted dataset
+// must have a schema that passes Validate and rows of NumFeatures
+// features, and must survive Save∘Load unchanged.
 func FuzzLoadDataset(f *testing.F) {
 	var buf bytes.Buffer
 	if err := tinyDataset().Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(gunzip(f, buf.Bytes()), false)
-	f.Add(gunzip(f, nineStaticFile(f)), false)
+	f.Add(gunzip(f, wideRowFile(f)), false)
 	f.Add(buf.Bytes(), true)
 
 	f.Fuzz(func(t *testing.T, data []byte, compressed bool) {
@@ -42,8 +42,8 @@ func FuzzLoadDataset(f *testing.F) {
 			t.Fatalf("loaded schema fails validation: %v", err)
 		}
 		for i, r := range ds.Rows {
-			if len(r.Features) != ds.Schema.NumFeatures() {
-				t.Fatalf("row %d has %d features, schema has %d", i, len(r.Features), ds.Schema.NumFeatures())
+			if len(r.Features) != NumFeatures {
+				t.Fatalf("row %d has %d features, want %d", i, len(r.Features), NumFeatures)
 			}
 		}
 		var saved bytes.Buffer

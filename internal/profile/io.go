@@ -16,7 +16,9 @@ type datasetFile struct {
 	Rows    []Row  `json:"rows"`
 }
 
-const datasetVersion = 1
+// datasetVersion 2 fixed the row layout: the schema holds only the
+// counter order, and every row has NumFeatures features.
+const datasetVersion = 2
 
 // Save writes the dataset as gzip-compressed JSON.
 func (d Dataset) Save(w io.Writer) error {
@@ -43,17 +45,15 @@ func Load(r io.Reader) (Dataset, error) {
 	if f.Version != datasetVersion {
 		return Dataset{}, fmt.Errorf("profile: unsupported dataset version %d", f.Version)
 	}
-	ds := Dataset{Schema: f.Schema, Rows: f.Rows}
-	if err := ds.Schema.Validate(); err != nil {
+	if err := f.Schema.Validate(); err != nil {
 		return Dataset{}, err
 	}
-	want := ds.Schema.NumFeatures()
-	for i, r := range ds.Rows {
-		if len(r.Features) != want {
-			return Dataset{}, fmt.Errorf("profile: row %d has %d features, want %d", i, len(r.Features), want)
+	for i, r := range f.Rows {
+		if len(r.Features) != NumFeatures {
+			return Dataset{}, fmt.Errorf("profile: row %d has %d features, want %d", i, len(r.Features), NumFeatures)
 		}
 	}
-	return ds, nil
+	return Dataset{Schema: f.Schema, Rows: f.Rows}, nil
 }
 
 // SaveFile writes the dataset to a file path.

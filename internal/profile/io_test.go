@@ -2,14 +2,16 @@ package profile
 
 import (
 	"bytes"
+	"compress/gzip"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
 func tinyDataset() Dataset {
-	schema := DefaultSchema()
 	row := Row{
-		Features:   make([]float64, schema.NumFeatures()),
+		Features:   make([]float64, NumFeatures),
 		EA:         0.6,
 		RespMean:   1e-4,
 		RespP95:    3e-4,
@@ -20,8 +22,8 @@ func tinyDataset() Dataset {
 		CondID:     3,
 	}
 	row.Features[0] = 0.9
-	row.Features[schema.MatrixOffset()] = 42
-	return Dataset{Schema: schema, Rows: []Row{row}}
+	row.Features[MatrixOffset] = 42
+	return Dataset{Schema: DefaultSchema(), Rows: []Row{row}}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -42,10 +44,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if r.EA != orig.EA || r.Service != orig.Service || r.CondID != orig.CondID {
 		t.Fatal("row metadata lost")
 	}
-	if r.Features[0] != 0.9 || r.Features[ds.Schema.MatrixOffset()] != 42 {
+	if r.Features[0] != 0.9 || r.Features[MatrixOffset] != 42 {
 		t.Fatal("features lost")
 	}
-	if got.Schema.NumFeatures() != ds.Schema.NumFeatures() {
+	if !slices.Equal(got.Schema.CounterOrder, ds.Schema.CounterOrder) {
 		t.Fatal("schema lost")
 	}
 }
@@ -83,14 +85,14 @@ func TestLoadRejectsShortRows(t *testing.T) {
 	}
 }
 
-// nineStaticFile is a saved dataset whose schema lists a ninth static
-// feature, with a row of that schema's 592 features. The code writes
-// eight static features, so a model trained on it cannot be fed: serving
-// such a model with this dataset panicked in the model's input fill.
-func nineStaticFile(tb testing.TB) []byte {
+// wideRowFile is a saved dataset whose row has one feature more than
+// NumFeatures. No code writes such a row, and a model trained on it
+// cannot be fed: when the schema could list a ninth static feature, a
+// dataset of that width loaded, and serving a model trained on it
+// panicked in the model's input fill.
+func wideRowFile(tb testing.TB) []byte {
 	ds := tinyDataset()
-	ds.Schema.Static = append(ds.Schema.Static, "ninth")
-	ds.Rows[0].Features = make([]float64, ds.Schema.NumFeatures())
+	ds.Rows[0].Features = make([]float64, NumFeatures+1)
 	var buf bytes.Buffer
 	if err := ds.Save(&buf); err != nil {
 		tb.Fatal(err)
@@ -99,8 +101,22 @@ func nineStaticFile(tb testing.TB) []byte {
 }
 
 func TestLoadRejectsUnwrittenFeatures(t *testing.T) {
-	if _, err := Load(bytes.NewReader(nineStaticFile(t))); err == nil {
-		t.Fatal("dataset with a ninth static feature accepted")
+	if _, err := Load(bytes.NewReader(wideRowFile(t))); err == nil {
+		t.Fatal("dataset with a row one feature too wide accepted")
+	}
+}
+
+// TestLoadRejectsVersion1 feeds Load a version-1 envelope, whose schema
+// carried the static and dynamic names and QueriesPerRow. Version 2
+// fixed those, and no version-1 reader is kept.
+func TestLoadRejectsVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	w := gzip.NewWriter(&buf)
+	w.Write([]byte(`{"version":1,"schema":{"Static":["load"],"Dynamic":[],"QueriesPerRow":20,"CounterOrder":[]},"rows":[]}`))
+	w.Close()
+	_, err := Load(&buf)
+	if err == nil || !strings.Contains(err.Error(), "unsupported dataset version 1") {
+		t.Fatalf("version-1 dataset: error %v, want unsupported dataset version 1", err)
 	}
 }
 

@@ -11,17 +11,15 @@ import (
 )
 
 func TestDefaultSchemaShape(t *testing.T) {
-	s := DefaultSchema()
-	if err := s.Validate(); err != nil {
+	if err := DefaultSchema().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rows, cols := s.MatrixShape()
-	if rows != 29 || cols != 20 {
-		t.Fatalf("matrix shape %dx%d, want 29x20", rows, cols)
-	}
 	// 580 matrix features (the paper's count) plus condition features.
-	if got := s.NumFeatures() - s.MatrixOffset(); got != 580 {
+	if got := NumFeatures - MatrixOffset; got != 580 {
 		t.Fatalf("matrix features = %d, want 580", got)
+	}
+	if NumFeatures != 591 {
+		t.Fatalf("NumFeatures = %d, want 591", NumFeatures)
 	}
 }
 
@@ -35,26 +33,6 @@ func TestSchemaValidateRejectsBadOrder(t *testing.T) {
 	s.CounterOrder[0] = s.CounterOrder[1]
 	if err := s.Validate(); err == nil {
 		t.Fatal("non-permutation accepted")
-	}
-	s = DefaultSchema()
-	s.QueriesPerRow = 0
-	if err := s.Validate(); err == nil {
-		t.Fatal("zero queries per row accepted")
-	}
-	s = DefaultSchema()
-	s.QueriesPerRow = math.MaxInt/counters.NumCounters + 1
-	if err := s.Validate(); err == nil {
-		t.Fatal("queries per row overflowing NumFeatures accepted")
-	}
-	s = DefaultSchema()
-	s.Dynamic = s.Dynamic[:2]
-	if err := s.Validate(); err == nil {
-		t.Fatal("two dynamic features accepted")
-	}
-	s = DefaultSchema()
-	s.Static[0], s.Static[1] = s.Static[1], s.Static[0]
-	if err := s.Validate(); err == nil {
-		t.Fatal("reordered static features accepted")
 	}
 }
 
@@ -84,10 +62,9 @@ func TestCollectProducesRows(t *testing.T) {
 	if ds.Len() != 12 {
 		t.Fatalf("dataset has %d rows, want 12", ds.Len())
 	}
-	want := ds.Schema.NumFeatures()
 	for i, r := range ds.Rows {
-		if len(r.Features) != want {
-			t.Fatalf("row %d has %d features, want %d", i, len(r.Features), want)
+		if len(r.Features) != NumFeatures {
+			t.Fatalf("row %d has %d features, want %d", i, len(r.Features), NumFeatures)
 		}
 		if r.EA <= 0 || r.EA > 2 {
 			t.Errorf("row %d EA = %v outside plausible (0,2]", i, r.EA)
@@ -153,7 +130,7 @@ func TestBuildRowsErrors(t *testing.T) {
 		t.Error("out-of-range service accepted")
 	}
 	bad := DefaultSchema()
-	bad.QueriesPerRow = -1
+	bad.CounterOrder = bad.CounterOrder[:3]
 	if _, err := BuildRows(bad, run, 0); err == nil {
 		t.Error("invalid schema accepted")
 	}
@@ -178,14 +155,16 @@ func TestTruncateAndFilter(t *testing.T) {
 
 func TestAppendSchemaMismatch(t *testing.T) {
 	a := Dataset{Schema: DefaultSchema()}
-	small := DefaultSchema()
-	small.QueriesPerRow = 5
-	b := Dataset{Schema: small, Rows: []Row{{}}}
+	shuffled := Schema{CounterOrder: counters.ShuffledOrder(1)}
+	b := Dataset{Schema: shuffled, Rows: []Row{{}}}
 	if err := a.Append(b); err == nil {
-		t.Fatal("schema mismatch accepted")
+		t.Fatal("shuffled counter order appended to a spatial one")
 	}
-	if err := a.Append(Dataset{Schema: small}); err != nil {
+	if err := a.Append(Dataset{Schema: shuffled}); err != nil {
 		t.Fatal("empty append should succeed")
+	}
+	if err := a.Append(Dataset{Schema: DefaultSchema(), Rows: []Row{{}}}); err != nil || a.Len() != 1 {
+		t.Fatalf("append of the same counter order: %v, %d rows", err, a.Len())
 	}
 }
 
@@ -271,10 +250,9 @@ func TestCounterMatrixEmbedding(t *testing.T) {
 		t.Fatalf("want 1 row, got %d", len(rows))
 	}
 	q0 := run.Services[0].Queries[0]
-	off := schema.MatrixOffset()
 	for c := 0; c < counters.NumCounters; c++ {
 		want := q0.Counters[schema.CounterOrder[c]]
-		got := rows[0].Features[off+c*schema.QueriesPerRow]
+		got := rows[0].Features[MatrixOffset+c*QueriesPerRow]
 		if got != want {
 			t.Fatalf("matrix[%d][0] = %v, want %v", c, got, want)
 		}

@@ -12,7 +12,6 @@ package profile
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"stac/internal/counters"
 	"stac/internal/stats"
@@ -25,7 +24,7 @@ import (
 const TimeoutCap = 8.0
 
 // Positions of the static features at the head of every row's feature
-// vector, in DefaultSchema's Static order.
+// vector.
 const (
 	FeatLoad = iota
 	FeatTimeout
@@ -38,6 +37,38 @@ const (
 	NumStatic
 )
 
+// Positions of the dynamic features within their block, which follows
+// the static block: feature NumStatic+DynBoostedFrac is a row's boosted
+// fraction.
+const (
+	DynQueueDelayMean = iota
+	DynQueueDelayMax
+	DynBoostedFrac
+	NumDynamic
+)
+
+// The layout of every row's feature vector: the static block, the
+// dynamic block, then a counters × QueriesPerRow matrix flattened
+// row-major (each counter is a row so spatially correlated counters are
+// adjacent — Figure 7c). That is 8 + 3 + 20×29 = 591 features: the
+// paper's "580 original features" plus condition features.
+const (
+	// QueriesPerRow is N, the number of consecutive query executions
+	// whose counter vectors form one row (the paper's example uses 20).
+	QueriesPerRow = 20
+	// MatrixOffset is the index where the counter matrix begins.
+	MatrixOffset = NumStatic + NumDynamic
+	// NumFeatures is the length of every row's feature vector.
+	NumFeatures = MatrixOffset + QueriesPerRow*counters.NumCounters
+)
+
+// FeatureNames names the static and dynamic features, in row order.
+var FeatureNames = [MatrixOffset]string{
+	"load", "timeout", "partner_load", "partner_timeout",
+	"private_ways", "shared_ways", "boost_ratio", "sample_period",
+	"queue_delay_rel_mean", "queue_delay_rel_max", "boosted_frac",
+}
+
 // Static is the runtime condition a row describes: the static features
 // of Equation 2. Vector encodes it and StaticOf decodes it, so rows built
 // from measurements and inputs reconstructed for unseen scenarios share
@@ -49,7 +80,7 @@ type Static struct {
 	BoostRatio, SamplePeriodRel float64
 }
 
-// Vector returns the static features in schema order, with infinite or
+// Vector returns the static features in row order, with infinite or
 // over-cap timeouts replaced by TimeoutCap.
 func (s Static) Vector() [NumStatic]float64 {
 	return [NumStatic]float64{
@@ -79,74 +110,23 @@ func StaticOf(features []float64) Static {
 	}
 }
 
-// Schema describes the layout of a profile row's feature vector: static
-// runtime-condition features, dynamic features observed during the window,
-// then a (counters × queries) matrix flattened row-major (each counter is
-// a row so spatially correlated counters are adjacent — Figure 7c).
+// Schema is the one part of the row layout that varies: the order of
+// the counter matrix's rows.
 type Schema struct {
-	// Static names the runtime-condition features.
-	Static []string
-	// Dynamic names the observed dynamic-condition features.
-	Dynamic []string
-	// QueriesPerRow is N, the number of consecutive query executions
-	// whose counter vectors form one row (the paper's example uses 20).
-	QueriesPerRow int
 	// CounterOrder permutes the 29 counters; SpatialOrder preserves
 	// locality, ShuffledOrder destroys it (the Figure 7c ablation).
 	CounterOrder []int
 }
 
-// staticNames and dynamicNames are the feature blocks at the head of
-// every row, in the order BuildRows and core's InputBuilder write them.
-var (
-	staticNames = []string{
-		"load", "timeout", "partner_load", "partner_timeout",
-		"private_ways", "shared_ways", "boost_ratio", "sample_period",
-	}
-	dynamicNames = []string{"queue_delay_rel_mean", "queue_delay_rel_max", "boosted_frac"}
-)
-
-// maxQueriesPerRow is the largest QueriesPerRow whose NumFeatures fits
-// in an int.
-var maxQueriesPerRow = (math.MaxInt - len(staticNames) - len(dynamicNames)) / counters.NumCounters
-
-// DefaultSchema returns the layout used throughout the evaluation:
-// 8 static + 3 dynamic + 20×29 matrix = 591 features (the paper's "580
-// original features" plus condition features).
+// DefaultSchema returns the spatial counter order used throughout the
+// evaluation.
 func DefaultSchema() Schema {
-	return Schema{
-		Static:        slices.Clone(staticNames),
-		Dynamic:       slices.Clone(dynamicNames),
-		QueriesPerRow: 20,
-		CounterOrder:  counters.SpatialOrder(),
-	}
+	return Schema{CounterOrder: counters.SpatialOrder()}
 }
 
-// NumFeatures returns the total feature-vector length.
-func (s Schema) NumFeatures() int {
-	return len(s.Static) + len(s.Dynamic) + s.QueriesPerRow*counters.NumCounters
-}
-
-// MatrixOffset returns the index where the counter matrix begins.
-func (s Schema) MatrixOffset() int { return len(s.Static) + len(s.Dynamic) }
-
-// MatrixShape returns (rows, cols) of the embedded counter matrix:
-// counters × queries.
-func (s Schema) MatrixShape() (int, int) { return counters.NumCounters, s.QueriesPerRow }
-
-// Validate reports schema errors. Only the counter matrix varies: the
-// static and dynamic blocks must be DefaultSchema's, since those are the
-// features the code writes.
+// Validate reports whether the counter order is a permutation of the
+// counters.
 func (s Schema) Validate() error {
-	if !slices.Equal(s.Static, staticNames) {
-		return fmt.Errorf("profile: static features %q, want %q", s.Static, staticNames)
-	}
-	if !slices.Equal(s.Dynamic, dynamicNames) {
-		return fmt.Errorf("profile: dynamic features %q, want %q", s.Dynamic, dynamicNames)
-	}
-	if s.QueriesPerRow <= 0 || s.QueriesPerRow > maxQueriesPerRow {
-		return fmt.Errorf("profile: QueriesPerRow %d outside [1, %d]", s.QueriesPerRow, maxQueriesPerRow)
-	}
 	if len(s.CounterOrder) != counters.NumCounters {
 		return fmt.Errorf("profile: counter order has %d entries, want %d",
 			len(s.CounterOrder), counters.NumCounters)
@@ -216,7 +196,7 @@ func BuildRows(schema Schema, run *testbed.RunResult, svcIdx int) ([]Row, error)
 	}
 	static := cond.Vector()
 
-	n := schema.QueriesPerRow
+	const n = QueriesPerRow
 	var rows []Row
 	for start := 0; start+n <= len(svc.Queries); start += n {
 		window := svc.Queries[start : start+n]
@@ -237,15 +217,15 @@ func BuildRows(schema Schema, run *testbed.RunResult, svcIdx int) ([]Row, error)
 			stSum += st[i]
 			resp[i] = q.Response()
 		}
-		dynamic := []float64{
-			qdSum / float64(n),
-			qdMax,
-			boosted / float64(n),
+		dynamic := [NumDynamic]float64{
+			DynQueueDelayMean: qdSum / n,
+			DynQueueDelayMax:  qdMax,
+			DynBoostedFrac:    boosted / n,
 		}
 
-		feats := make([]float64, 0, schema.NumFeatures())
+		feats := make([]float64, 0, NumFeatures)
 		feats = append(feats, static[:]...)
-		feats = append(feats, dynamic...)
+		feats = append(feats, dynamic[:]...)
 		// Counter matrix, row-major: counter (in schema order) × query.
 		for _, ctr := range schema.CounterOrder {
 			for _, q := range window {
@@ -253,7 +233,7 @@ func BuildRows(schema Schema, run *testbed.RunResult, svcIdx int) ([]Row, error)
 			}
 		}
 
-		meanST := stSum / float64(n)
+		meanST := stSum / n
 		ea := 0.0
 		if meanST > 0 && svc.BoostRatio > 0 {
 			ea = (svc.ExpServiceTime / meanST) / svc.BoostRatio

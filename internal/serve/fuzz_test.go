@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -68,6 +69,66 @@ func FuzzPredictBody(f *testing.F) {
 			}
 			if !(resp.EA >= 0.02 && resp.EA <= 1.5) {
 				t.Fatalf("EA %v outside [0.02, 1.5] for %q", resp.EA, body)
+			}
+			return
+		}
+		var errBody struct {
+			Error *Error `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &errBody); err != nil || errBody.Error == nil {
+			t.Fatalf("status %d with body %q is not a JSON error object (%v)", rec.Code, rec.Body.Bytes(), err)
+		}
+		if !codes[errBody.Error.Code] || rec.Code < 400 || rec.Code >= 600 {
+			t.Fatalf("error code %q with status %d for %q", errBody.Error.Code, rec.Code, body)
+		}
+	})
+}
+
+// FuzzSearchBody posts arbitrary bodies to /search on a Server. No body
+// may panic or hang the handler: each answer comes within 60 s, enough
+// for a cold search at the largest trace /search takes, and is either a
+// 200 whose body decodes to a SearchResponse with finite scores and
+// speedups, or a JSON error object with a known code and a 4xx or 5xx
+// status. The seeds are a default search, one whose top_k reaches the
+// never-boost plans and one at a load whose arrivals round to zero, all
+// on short traces.
+func FuzzSearchBody(f *testing.F) {
+	e := NewEngine(Config{Obs: obs.NewRegistry()})
+	f.Cleanup(e.Close)
+	handler := NewServer(e).Handler()
+
+	f.Add([]byte(`{"kernel_a":"redis","kernel_b":"social","accesses":2000}`))
+	f.Add([]byte(`{"kernel_a":"redis","kernel_b":"social","top_k":4294,"accesses":2000}`))
+	f.Add([]byte(`{"kernel_a":"redis","kernel_b":"social","load":1e-6,"accesses":2000}`))
+
+	codes := map[string]bool{CodeBadRequest: true, CodeInternal: true}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)))
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("no answer within 60 s to %q", body)
+		}
+
+		if rec.Code == http.StatusOK {
+			var resp SearchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body %q does not decode: %v", rec.Body.Bytes(), err)
+			}
+			if len(resp.Plans) > resp.Total {
+				t.Fatalf("%d plans of %d for %q", len(resp.Plans), resp.Total, body)
+			}
+			for _, p := range resp.Plans {
+				if math.IsNaN(p.Score) || math.IsInf(p.Score, 0) ||
+					math.IsNaN(p.Speedup[0]) || math.IsInf(p.Speedup[0], 0) ||
+					math.IsNaN(p.Speedup[1]) || math.IsInf(p.Speedup[1], 0) {
+					t.Fatalf("plan %s scores %v with speedups %v for %q", p.Plan, p.Score, p.Speedup, body)
+				}
 			}
 			return
 		}

@@ -183,11 +183,11 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 	if library.Len() == 0 {
 		return ModelInfo{}, nil, fmt.Errorf("serve: empty profile library")
 	}
-	// A model trained on another schema would read its features out of
+	// A model trained on another width would read its features out of
 	// place, or past the end of the builder's vectors.
-	if m, ok := model.(widthModel); ok && m.NumFeatures() != library.Schema.NumFeatures() {
+	if m, ok := model.(widthModel); ok && m.NumFeatures() != profile.NumFeatures {
 		return ModelInfo{}, nil, fmt.Errorf("serve: model takes %d features, the library's schema has %d",
-			m.NumFeatures(), library.Schema.NumFeatures())
+			m.NumFeatures(), profile.NumFeatures)
 	}
 	builder, err := core.NewInputBuilder(library)
 	if err != nil {

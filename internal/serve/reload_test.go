@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"stac/internal/core"
+	"stac/internal/counters"
 	"stac/internal/deepforest"
 	"stac/internal/obs"
 	"stac/internal/profile"
@@ -157,25 +158,27 @@ func TestEngineReloadRejectsMalformedModel(t *testing.T) {
 }
 
 // TestEngineRejectsModelOfWrongWidth installs, then hot-reloads, a real
-// deep forest trained on a narrower feature vector than the library's
-// schema. Both fail with the width error and version 1 keeps answering.
+// deep forest trained on a feature vector whose matrix has half the
+// profile's queries. Both fail with the width error and version 1 keeps
+// answering.
 func TestEngineRejectsModelOfWrongWidth(t *testing.T) {
 	lib := syntheticLibrary(t)
 	for i := range lib.Rows {
 		lib.Rows[i].EA = 0.2 + 0.2*float64(i) // targets to split on
 	}
-	narrow := profile.Dataset{Schema: lib.Schema}
-	narrow.Schema.QueriesPerRow /= 2
-	for _, r := range lib.Rows {
-		r.Features = r.Features[:narrow.Schema.NumFeatures()]
-		narrow.Rows = append(narrow.Rows, r)
+	half := deepforest.MatrixSpec{Offset: profile.MatrixOffset, Rows: counters.NumCounters, Cols: profile.QueriesPerRow / 2}
+	narrowWidth := half.Offset + half.Rows*half.Cols
+	narrow := make([][]float64, len(lib.Rows))
+	for i, r := range lib.Rows {
+		narrow[i] = r.Features[:narrowWidth]
 	}
-	train := func(ds profile.Dataset) *deepforest.Model {
-		m, err := core.TrainDeepForestEA(ds, deepforest.Config{}, stats.NewRNG(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	good, err := core.TrainDeepForestEA(lib, deepforest.Config{}, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := deepforest.Train(narrow, lib.Targets(), deepforest.FastConfig(half), stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
 	}
 	save := func(m *deepforest.Model, path string) {
 		var buf bytes.Buffer
@@ -188,7 +191,7 @@ func TestEngineRejectsModelOfWrongWidth(t *testing.T) {
 	}
 	dir := t.TempDir()
 	modelPath, dataPath := filepath.Join(dir, "model.gob"), filepath.Join(dir, "profile.json.gz")
-	save(train(lib), modelPath)
+	save(good, modelPath)
 	if err := lib.SaveFile(dataPath); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,7 @@ func TestEngineRejectsModelOfWrongWidth(t *testing.T) {
 	}
 
 	want := fmt.Sprintf("model takes %d features, the library's schema has %d",
-		narrow.Schema.NumFeatures(), lib.Schema.NumFeatures())
+		narrowWidth, profile.NumFeatures)
 	check := func(what string, err error) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -210,8 +213,7 @@ func TestEngineRejectsModelOfWrongWidth(t *testing.T) {
 			t.Errorf("%s: afterwards predict = %+v, %v; want version 1 answering", what, resp, serr)
 		}
 	}
-	bad := train(narrow)
-	_, err := e.Install(bad, lib)
+	_, err = e.Install(bad, lib)
 	check("install", err)
 	save(bad, modelPath)
 	_, err = e.Reload()

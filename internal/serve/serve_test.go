@@ -55,16 +55,15 @@ func (m *stubModel) batchSizes() []int {
 // without running the testbed.
 func syntheticLibrary(t testing.TB) profile.Dataset {
 	t.Helper()
-	schema := profile.DefaultSchema()
 	mk := func(service string, load, timeout, fill float64, cond int) profile.Row {
-		f := make([]float64, schema.NumFeatures())
+		f := make([]float64, profile.NumFeatures)
 		f[0] = load
 		f[1] = timeout
 		f[2] = 0.5
 		f[3] = 2
 		f[4], f[5], f[6], f[7] = 2, 2, 2, 1
 		f[8], f[9], f[10] = 0.2, 0.5, 0.3
-		for i := schema.MatrixOffset(); i < len(f); i++ {
+		for i := profile.MatrixOffset; i < len(f); i++ {
 			f[i] = fill
 		}
 		return profile.Row{
@@ -74,7 +73,7 @@ func syntheticLibrary(t testing.TB) profile.Dataset {
 		}
 	}
 	return profile.Dataset{
-		Schema: schema,
+		Schema: profile.DefaultSchema(),
 		Rows: []profile.Row{
 			mk("redis", 0.3, 1, 10, 0),
 			mk("redis", 0.9, 1, 90, 1),

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -59,12 +61,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes v before it sends the status, so a value that does
+// not encode (encoding/json refuses NaN and ±Inf) is answered with a
+// typed 500 rather than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		writeError(w, errInternal(fmt.Errorf("encode response: %w", err)))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeError(w http.ResponseWriter, e *Error) {
@@ -111,16 +121,27 @@ type SearchRequest struct {
 	Seed     uint64  `json:"seed,omitempty"`
 }
 
-// SearchPlan is one ranked plan in a SearchResponse.
+// SearchPlan is one ranked plan in a SearchResponse. A never-boost
+// timeout, +Inf in surrogate.Plan, which JSON numbers cannot carry, is
+// null.
 type SearchPlan struct {
 	Plan     string     `json:"plan"`
 	PrivA    int        `json:"priv_a"`
 	Shared   int        `json:"shared"`
 	PrivB    int        `json:"priv_b"`
-	TimeoutA float64    `json:"timeout_a"`
-	TimeoutB float64    `json:"timeout_b"`
+	TimeoutA *float64   `json:"timeout_a"`
+	TimeoutB *float64   `json:"timeout_b"`
 	Score    float64    `json:"score"`
 	Speedup  [2]float64 `json:"speedup"`
+}
+
+// wireTimeout is a plan timeout as SearchPlan carries it: nil for never
+// boost.
+func wireTimeout(t float64) *float64 {
+	if math.IsInf(t, 1) {
+		return nil
+	}
+	return &t
 }
 
 // SearchResponse is the ranked head of the plan space.
@@ -221,8 +242,8 @@ func (s *Server) search(req SearchRequest) (SearchResponse, *Error) {
 			PrivA:    ev.Plan.PrivA,
 			Shared:   ev.Plan.Shared,
 			PrivB:    ev.Plan.PrivB,
-			TimeoutA: ev.Plan.TimeoutA,
-			TimeoutB: ev.Plan.TimeoutB,
+			TimeoutA: wireTimeout(ev.Plan.TimeoutA),
+			TimeoutB: wireTimeout(ev.Plan.TimeoutB),
 			Score:    ev.Score,
 			Speedup:  ev.Speedup,
 		})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -213,5 +214,76 @@ func TestHTTPSearchRejectsBadBodies(t *testing.T) {
 		if built {
 			t.Errorf("%s: a searcher was built", tc.field)
 		}
+	}
+}
+
+// TestHTTPSearchEncodesNeverBoost posts a search whose top_k reaches
+// the fully-private plans, whose never-boost timeouts are +Inf in
+// surrogate.Plan. encoding/json refuses +Inf, and writeJSON used to
+// send the 200 first, so this body got a 200 with an empty body. Every
+// plan must now decode, the 19 fully-private ones with null timeouts.
+func TestHTTPSearchEncodesNeverBoost(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/search", "application/json",
+		strings.NewReader(`{"kernel_a":"redis","kernel_b":"social","top_k":4294}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	var sr SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatalf("body does not decode: %v", err)
+	}
+	if len(sr.Plans) != 4294 {
+		t.Fatalf("decoded %d plans, want 4294", len(sr.Plans))
+	}
+	never := 0
+	for _, p := range sr.Plans {
+		if (p.TimeoutA == nil) != (p.TimeoutB == nil) || (p.TimeoutA == nil) != (p.Shared == 0) {
+			t.Fatalf("plan %s: timeouts %v, %v with %d shared ways; want null timeouts exactly on fully-private plans",
+				p.Plan, p.TimeoutA, p.TimeoutB, p.Shared)
+		}
+		if p.TimeoutA == nil {
+			never++
+		}
+	}
+	if never != 19 {
+		t.Errorf("%d plans with null timeouts, want 19", never)
+	}
+}
+
+// TestHTTPSearchRejectsLoadWithoutArrivals: at load 1e-6 both services'
+// arrival rates round to zero on the surrogate's simulation grid, which
+// made every score NaN and the answer an empty 200. The searcher now
+// refuses the load, and /search answers 400.
+func TestHTTPSearchRejectsLoadWithoutArrivals(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/search", "application/json",
+		strings.NewReader(`{"kernel_a":"redis","kernel_b":"social","load":1e-6}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	e := decodeError(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest || !strings.Contains(e.Message, "arrival rate") {
+		t.Errorf("status %d code %s message %q, want 400 %s naming the arrival rate",
+			resp.StatusCode, e.Code, e.Message, CodeBadRequest)
+	}
+}
+
+// TestWriteJSONRefusesUnencodable: a value encoding/json refuses is
+// answered with a typed 500, not the status the handler asked for.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"score": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	e := decodeError(t, rec.Result())
+	if e.Code != CodeInternal {
+		t.Errorf("error code = %s, want %s", e.Code, CodeInternal)
 	}
 }

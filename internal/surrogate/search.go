@@ -388,6 +388,12 @@ func (s *Searcher) sweep(plans []Plan) ([]Evaluation, error) {
 			}
 			for i, cfg := range s.planConfigs(p, frac) {
 				keys[j][i] = keyOf(cfg)
+				// A cell without arrivals simulates no queries, and
+				// every p95, speedup and score built on it is NaN.
+				if keys[j][i].arrival == 0 {
+					return nil, fmt.Errorf("surrogate: plan %v: service %c's arrival rate %.3g/s rounds to zero on the simulation grid",
+						p, 'A'+i, cfg.Arrival.(stats.Exponential).Rate)
+				}
 			}
 		}
 		if err := s.fill(keys); err != nil {

@@ -404,7 +404,9 @@ func TestValidateRejectsNegativeK(t *testing.T) {
 }
 
 func TestSearcherRejectsBadConfig(t *testing.T) {
-	for _, loads := range [][2]float64{{1.2, 0.5}, {0.5, math.NaN()}} {
+	// At load 1e-6 a service's arrival rate rounds to zero on the memo
+	// grid's 0.1/s step, and every score built on its cells is NaN.
+	for _, loads := range [][2]float64{{1.2, 0.5}, {0.5, math.NaN()}, {1e-6, 0.5}, {0.5, 1e-6}} {
 		if _, err := New(Config{KernelA: workload.Redis(), KernelB: workload.BFS(), LoadA: loads[0], LoadB: loads[1]}); err == nil {
 			t.Fatalf("loads %v accepted", loads)
 		}
