@@ -28,6 +28,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"stac/internal/cat"
 	"stac/internal/testbed"
@@ -247,8 +248,15 @@ func (c Config) Validate() error {
 	}
 	total := 0
 	for i, s := range c.Services {
-		if s.Load <= 0 || s.Load >= 1 {
+		// Written to refuse NaN: a NaN rate never ends an epoch's
+		// arrival loop, and neither does an infinite one.
+		if !(s.Load > 0 && s.Load < 1) {
 			return configErr("Services", "service %d load %v outside (0,1)", i, s.Load)
+		}
+		for e, m := range s.RateProfile {
+			if !(m >= 0 && m <= math.MaxFloat64) {
+				return configErr("Services", "service %d rate multiplier %v at epoch %d is not finite and non-negative", i, m, e)
+			}
 		}
 		if s.Replicas < 1 || s.Replicas > len(c.Nodes) {
 			return configErr("Services", "service %d replicas %d outside [1,%d]", i, s.Replicas, len(c.Nodes))

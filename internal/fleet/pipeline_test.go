@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,27 @@ func TestConfigRejectsInertSettings(t *testing.T) {
 	noDrain.DrainEpoch = 99
 	if err := noDrain.Validate(); err != nil {
 		t.Errorf("drain epoch without a drain node rejected: %v", err)
+	}
+}
+
+// TestConfigRejectsNonFiniteRates pins that Validate refuses a NaN load
+// and a rate multiplier that is NaN, infinite or negative, naming the
+// Services field. A NaN or infinite arrival rate never ends an epoch's
+// arrival loop, which appends queries until memory runs out.
+func TestConfigRejectsNonFiniteRates(t *testing.T) {
+	for _, edit := range []func(*ServiceSpec){
+		func(s *ServiceSpec) { s.Load = math.NaN() },
+		func(s *ServiceSpec) { s.RateProfile = []float64{1, math.NaN()} },
+		func(s *ServiceSpec) { s.RateProfile = []float64{math.Inf(1)} },
+		func(s *ServiceSpec) { s.RateProfile = []float64{-0.5} },
+	} {
+		cfg := ScenarioStatic(1).Defaults()
+		edit(&cfg.Services[1])
+		var ce *ConfigError
+		if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != "Services" {
+			t.Errorf("load %v, rate profile %v: Validate = %v, want a *ConfigError for field Services",
+				cfg.Services[1].Load, cfg.Services[1].RateProfile, err)
+		}
 	}
 }
 

@@ -5,17 +5,22 @@ import (
 	"sync"
 	"time"
 
+	"stac/internal/core"
 	"stac/internal/obs"
 )
 
 // cacheKey quantises a prediction request to 1e-3 in every continuous
 // dimension: the short-term model's inputs (loads, timeouts) move on
 // coarse grids in practice, so physically identical consults collapse
-// to one key without perturbing distinguishable ones.
+// to one key without perturbing distinguishable ones. The service is
+// its index in the version's service list and the way counts, which
+// validWays bounds to [0, cat.MaxWays], are bytes, so a key is 24 bytes
+// and holds no pointer: the collector never scans the cache's maps.
+// full selects the map the key is looked up in.
 type cacheKey struct {
-	service                        string
 	load, timeout, pload, ptimeout int32
-	privateWays, sharedWays        int32
+	service                        int32
+	privateWays, sharedWays        uint8
 	full                           bool
 }
 
@@ -26,17 +31,49 @@ func quantise(v float64) int32 {
 	return int32(math.Round(v * 1e3))
 }
 
-// predCache memoises predictions with a two-generation rotation: when
-// the hot generation reaches capacity it becomes the cold one and a
-// fresh hot map starts. Reads hit both; entries untouched for two
-// rotations fall out. This keeps eviction O(1) per insert with no
-// per-entry bookkeeping on the read path. Every generation starts empty
-// and grows with the distinct keys it stores, so the cache holds memory
-// in proportion to traffic rather than to capacity.
+// generations is one map under a two-generation rotation: when the hot
+// generation reaches capacity it becomes the cold one and a fresh hot
+// map starts. Reads hit both; entries untouched for two rotations fall
+// out. This keeps eviction O(1) per insert with no per-entry
+// bookkeeping on the read path. Every generation starts empty and grows
+// with the distinct keys it stores, so the cache holds memory in
+// proportion to traffic rather than to capacity.
+type generations[V any] struct {
+	hot, cold map[cacheKey]V
+}
+
+func (g *generations[V]) get(k cacheKey) (V, bool) {
+	v, ok := g.hot[k]
+	if !ok {
+		v, ok = g.cold[k]
+	}
+	return v, ok
+}
+
+func (g *generations[V]) put(k cacheKey, v V, capacity int) {
+	if len(g.hot) >= capacity {
+		g.cold, g.hot = g.hot, nil
+	}
+	if g.hot == nil {
+		g.hot = make(map[cacheKey]V)
+	}
+	g.hot[k] = v
+}
+
+// predCache memoises the predictions of one model version. The fast
+// path stores only the effective allocation; "full" requests store the
+// whole three-stage prediction in a second map under the same rotation
+// and capacity. Neither stores what the request already says (the
+// service name) or what the acquired version does (its number): the
+// engine fills those in on a hit.
 type predCache struct {
-	mu        sync.RWMutex
-	capacity  int
-	hot, cold map[cacheKey]PredictResponse
+	mu       sync.RWMutex
+	capacity int
+	// version is the model version every entry belongs to. A request
+	// still running on a retired version neither reads nor writes.
+	version int
+	ea      generations[float64]
+	full    generations[core.Prediction]
 
 	hits   *obs.Counter
 	misses *obs.Counter
@@ -48,17 +85,21 @@ func newPredCache(capacity int, reg *obs.Registry) *predCache {
 	}
 	return &predCache{
 		capacity: capacity,
-		hot:      make(map[cacheKey]PredictResponse),
 		hits:     reg.Counter("serve/cache/hits"),
 		misses:   reg.Counter("serve/cache/misses"),
 	}
 }
 
-func (c *predCache) get(k cacheKey) (PredictResponse, bool) {
+// get returns the prediction version made for k, if the cache holds
+// it. A fast-path entry carries only EA.
+func (c *predCache) get(version int, k cacheKey) (p core.Prediction, ok bool) {
 	c.mu.RLock()
-	r, ok := c.hot[k]
-	if !ok && c.cold != nil {
-		r, ok = c.cold[k]
+	if version == c.version {
+		if k.full {
+			p, ok = c.full.get(k)
+		} else {
+			p.EA, ok = c.ea.get(k)
+		}
 	}
 	c.mu.RUnlock()
 	if ok {
@@ -66,25 +107,34 @@ func (c *predCache) get(k cacheKey) (PredictResponse, bool) {
 	} else {
 		c.misses.Inc()
 	}
-	return r, ok
+	return p, ok
 }
 
-func (c *predCache) put(k cacheKey, r PredictResponse) {
+// put stores version's prediction for k; one from any version but the
+// cache's is dropped.
+func (c *predCache) put(version int, k cacheKey, p core.Prediction) {
 	c.mu.Lock()
-	if len(c.hot) >= c.capacity {
-		c.cold = c.hot
-		c.hot = make(map[cacheKey]PredictResponse)
+	if version == c.version {
+		if k.full {
+			c.full.put(k, p, c.capacity)
+		} else {
+			c.ea.put(k, p.EA, c.capacity)
+		}
 	}
-	c.hot[k] = r
 	c.mu.Unlock()
 }
 
-// clear empties the cache (after a model reload: cached predictions
-// belong to the retired version).
-func (c *predCache) clear() {
+// clear empties the cache and scopes it to a newly installed version:
+// the retired version's entries, and any it would still store, belong
+// to another model. A version older than the cache's, from a load that
+// finished behind a newer one, changes nothing.
+func (c *predCache) clear(version int) {
 	c.mu.Lock()
-	c.hot = make(map[cacheKey]PredictResponse)
-	c.cold = nil
+	if version > c.version {
+		c.version = version
+		c.ea = generations[float64]{}
+		c.full = generations[core.Prediction]{}
+	}
 	c.mu.Unlock()
 }
 

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
 
+	"stac/internal/cat"
 	"stac/internal/core"
 	"stac/internal/obs"
 	"stac/internal/profile"
@@ -63,7 +65,8 @@ func (c Config) defaults() Config {
 
 // PredictRequest asks for a prediction under one runtime condition.
 // Layout fields (private/shared ways) default to the profiled
-// deployment's when zero.
+// deployment's when zero and must lie in [0, 64], the simulator's way
+// limit.
 type PredictRequest struct {
 	Service        string  `json:"service"`
 	Load           float64 `json:"load"`
@@ -143,8 +146,10 @@ func NewEngine(cfg Config) *Engine {
 
 // LoadModel loads (or hot-reloads) a model + library pair from disk.
 // The swap is atomic; the old version drains. The prediction cache is
-// cleared — its entries belong to the retired model. A file that fails
-// to load leaves the current version serving.
+// cleared and scoped to the new version — its entries, and any that
+// requests still running on the retired model would store, belong to
+// that model. A file that fails to load leaves the current version
+// serving.
 func (e *Engine) LoadModel(modelPath, dataPath string) (ModelInfo, error) {
 	info, _, err := e.registry.Load(modelPath, dataPath)
 	return e.swapped(info, err)
@@ -165,14 +170,15 @@ func (e *Engine) Reload() (ModelInfo, error) {
 }
 
 // swapped accounts for one load attempt: a failure moves
-// serve/model/reload_errors, a success clears the prediction cache.
+// serve/model/reload_errors, a success scopes the prediction cache to
+// the new version.
 func (e *Engine) swapped(info ModelInfo, err error) (ModelInfo, error) {
 	if err != nil {
 		e.reloadErrors.Inc()
 		return ModelInfo{}, err
 	}
 	if e.cache != nil {
-		e.cache.clear()
+		e.cache.clear(info.Version)
 	}
 	e.modelVer.Set(float64(info.Version))
 	e.reloads.Inc()
@@ -218,15 +224,15 @@ func (e *Engine) predict(req PredictRequest, start time.Time) (PredictResponse, 
 		return PredictResponse{}, errNoModel()
 	}
 	defer v.Release()
+	version := v.info.Version
 
 	scen, key, bad := buildScenario(v, req)
 	if bad != nil {
 		return PredictResponse{}, bad
 	}
 	if e.cache != nil && !req.NoCache {
-		if r, ok := e.cache.get(key); ok {
-			r.Cached = true
-			return r, nil
+		if p, ok := e.cache.get(version, key); ok {
+			return response(req, version, p, true), nil
 		}
 	}
 
@@ -246,14 +252,12 @@ func (e *Engine) predict(req PredictRequest, start time.Time) (PredictResponse, 
 		return PredictResponse{}, errDeadlineExceeded("before admission")
 	}
 
-	resp := PredictResponse{Service: req.Service, ModelVersion: v.info.Version}
+	var p core.Prediction
 	if req.Full {
-		pred, err := v.pred.PredictResponse(scen)
-		if err != nil {
+		var err error
+		if p, err = v.pred.PredictResponse(scen); err != nil {
 			return PredictResponse{}, errInternal(err)
 		}
-		resp.EA = pred.EA
-		resp.Prediction = &pred
 	} else {
 		features, err := v.builder.Build(scen)
 		if err != nil {
@@ -263,21 +267,35 @@ func (e *Engine) predict(req PredictRequest, start time.Time) (PredictResponse, 
 		if berr != nil {
 			return PredictResponse{}, berr
 		}
-		resp.EA = core.ClampEA(ea)
+		p.EA = core.ClampEA(ea)
 	}
 	if e.cache != nil {
-		e.cache.put(key, resp)
+		e.cache.put(version, key, p)
 	}
-	return resp, nil
+	return response(req, version, p, false), nil
+}
+
+// response answers req with the prediction p that model version made.
+func response(req PredictRequest, version int, p core.Prediction, cached bool) PredictResponse {
+	resp := PredictResponse{Service: req.Service, EA: p.EA, ModelVersion: version, Cached: cached}
+	if req.Full {
+		full := p // &p would move p to the heap on the fast path too
+		resp.Prediction = &full
+	}
+	return resp
 }
 
 // buildScenario fills the service's calibrated template with the
 // request's runtime condition and derives the cache key.
 func buildScenario(v *Version, req PredictRequest) (core.Scenario, cacheKey, *Error) {
-	tmpl, ok := v.Template(req.Service)
+	svc, tmpl, ok := v.service(req.Service)
 	if !ok {
 		return core.Scenario{}, cacheKey{}, errBadRequest("unknown service " + req.Service +
 			" (not in the profiling library)")
+	}
+	if !validWays(req.PrivateWays) || !validWays(req.SharedWays) {
+		return core.Scenario{}, cacheKey{}, errBadRequest(fmt.Sprintf(
+			"private_ways and shared_ways must be in [0,%d]", cat.MaxWays))
 	}
 	scen := tmpl
 	scen.Load = req.Load
@@ -301,14 +319,19 @@ func buildScenario(v *Version, req PredictRequest) (core.Scenario, cacheKey, *Er
 		return core.Scenario{}, cacheKey{}, errBadRequest("timeouts must be non-negative")
 	}
 	key := cacheKey{
-		service:     req.Service,
 		load:        quantise(scen.Load),
 		timeout:     quantise(scen.Timeout),
 		pload:       quantise(scen.PartnerLoad),
 		ptimeout:    quantise(scen.PartnerTimeout),
-		privateWays: int32(scen.PrivateWays),
-		sharedWays:  int32(scen.SharedWays),
+		service:     int32(svc),
+		privateWays: uint8(scen.PrivateWays),
+		sharedWays:  uint8(scen.SharedWays),
 		full:        req.Full,
 	}
 	return scen, key, nil
 }
+
+// validWays reports whether a way count lies in [0, cat.MaxWays], the
+// simulator's way limit. Registry.Install holds templates to it, so the
+// cache key can store each count of a scenario in a byte.
+func validWays(n int) bool { return n >= 0 && n <= cat.MaxWays }

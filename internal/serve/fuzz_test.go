@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,7 +21,8 @@ import (
 // body may panic or hang the handler. Each answer is either a 200 whose
 // body decodes to a PredictResponse with EA in the clamp range
 // [0.02, 1.5], or a JSON error object with a known code and a 4xx or 5xx
-// status.
+// status. A body answered 200 is posted again: unless it sets no_cache,
+// the repeat is a cache hit that rebuilds the same answer.
 func FuzzPredictBody(f *testing.F) {
 	lib := syntheticLibrary(f)
 	for i := range lib.Rows {
@@ -44,12 +46,13 @@ func FuzzPredictBody(f *testing.F) {
 	f.Add([]byte(`{"service":"bfs","load":0.999999999,"timeout":1e308,"partner_load":1e-308,"partner_timeout":1e308,"private_ways":9223372036854775807,"deadline_ms":1e308}`))
 	f.Add([]byte(`{"service":"redis","load":0.5,"timeout":1,"partner_load":0.5,"partner_timeout":1,"private_ways":-3,"shared_ways":-1}`))
 	f.Add([]byte(`{"service":"redis","load":0.7,"timeout":2,"partner_load":0.3,"partner_timeout":0,"full":true}`))
+	f.Add([]byte(`{"service":"bfs","load":0.5,"timeout":1,"partner_load":0.5,"partner_timeout":1,"private_ways":64,"shared_ways":4294967298}`))
 
 	codes := map[string]bool{
 		CodeQueueFull: true, CodeRateLimited: true, CodeDeadlineExceeded: true, CodeDraining: true,
 		CodeBadRequest: true, CodeNoModel: true, CodeInternal: true,
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
+	post := func(t *testing.T, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		done := make(chan struct{})
 		go func() {
@@ -61,7 +64,10 @@ func FuzzPredictBody(f *testing.F) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("no answer within 10 s to %q", body)
 		}
-
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := post(t, body)
 		if rec.Code == http.StatusOK {
 			var resp PredictResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -69,6 +75,24 @@ func FuzzPredictBody(f *testing.F) {
 			}
 			if !(resp.EA >= 0.02 && resp.EA <= 1.5) {
 				t.Fatalf("EA %v outside [0.02, 1.5] for %q", resp.EA, body)
+			}
+			// The handler decoded the body's first JSON value, as this does.
+			var req PredictRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("body %q answered 200 does not decode: %v", body, err)
+			}
+			if req.NoCache {
+				return
+			}
+			again := post(t, body)
+			var hit PredictResponse
+			if err := json.Unmarshal(again.Body.Bytes(), &hit); err != nil || again.Code != http.StatusOK {
+				t.Fatalf("repeat of %q: status %d, body %q (%v); want a 200", body, again.Code, again.Body.Bytes(), err)
+			}
+			if !hit.Cached || hit.EA != resp.EA || hit.Service != resp.Service ||
+				hit.ModelVersion != resp.ModelVersion || !reflect.DeepEqual(hit.Prediction, resp.Prediction) {
+				t.Fatalf("repeat of %q answered %+v (prediction %+v) after %+v (prediction %+v); want the same answer, cached",
+					body, hit, hit.Prediction, resp, resp.Prediction)
 			}
 			return
 		}

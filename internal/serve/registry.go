@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stac/internal/cat"
 	"stac/internal/core"
 	"stac/internal/deepforest"
 	"stac/internal/policy"
@@ -38,12 +39,15 @@ type ModelInfo struct {
 // templates (precomputed so the hot path never averages library rows),
 // and the assembled full predictor for response-time requests.
 type Version struct {
-	info      ModelInfo
-	model     BatchModel
-	library   profile.Dataset
-	builder   *core.InputBuilder
-	pred      *core.Predictor
-	templates map[string]core.Scenario
+	info    ModelInfo
+	model   BatchModel
+	library profile.Dataset
+	builder *core.InputBuilder
+	pred    *core.Predictor
+	// index maps each service to its position in info.Services, which
+	// keys the prediction cache; templates[i] is service i's template.
+	index     map[string]int
+	templates []core.Scenario
 
 	// refs counts the registry's own reference (1 at install) plus one
 	// per in-flight request. When a reload drops the registry reference
@@ -53,11 +57,15 @@ type Version struct {
 	drained chan struct{}
 }
 
-// Template returns the scenario skeleton for a service, with calibrated
-// service time, variability and layout features from the library.
-func (v *Version) Template(service string) (core.Scenario, bool) {
-	s, ok := v.templates[service]
-	return s, ok
+// service returns a service's index in info.Services and its scenario
+// skeleton, with calibrated service time, variability and layout
+// features from the library.
+func (v *Version) service(name string) (int, core.Scenario, bool) {
+	i, ok := v.index[name]
+	if !ok {
+		return 0, core.Scenario{}, false
+	}
+	return i, v.templates[i], true
 }
 
 // acquire takes a reference; it fails only when the version is already
@@ -199,22 +207,31 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 	if err != nil {
 		return ModelInfo{}, nil, err
 	}
-	services := map[string]bool{}
+	index := map[string]int{}
 	for _, row := range library.Rows {
-		services[row.Service] = true
+		index[row.Service] = 0
 	}
-	templates := make(map[string]core.Scenario, len(services))
-	names := make([]string, 0, len(services))
-	for svc := range services {
+	names := make([]string, 0, len(index))
+	for svc := range index {
+		names = append(names, svc)
+	}
+	sort.Strings(names)
+	templates := make([]core.Scenario, len(names))
+	for i, svc := range names {
 		t, err := policy.ScenarioTemplate(library, svc, 0.5, 0.5)
 		if err != nil {
 			return ModelInfo{}, nil, err
 		}
+		// Requests are held to the same bound: the cache key stores each
+		// way count in a byte.
+		if !validWays(t.PrivateWays) || !validWays(t.SharedWays) {
+			return ModelInfo{}, nil, fmt.Errorf("serve: service %q was profiled with %d private and %d shared ways, outside [0,%d]",
+				svc, t.PrivateWays, t.SharedWays, cat.MaxWays)
+		}
 		t.Servers = r.servers
-		templates[svc] = t
-		names = append(names, svc)
+		templates[i] = t
+		index[svc] = i
 	}
-	sort.Strings(names)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -231,6 +248,7 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 		library:   library,
 		builder:   builder,
 		pred:      pred,
+		index:     index,
 		templates: templates,
 		drained:   make(chan struct{}),
 	}

@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"stac/internal/cat"
+	"stac/internal/core"
 	"stac/internal/obs"
 	"stac/internal/profile"
 )
@@ -155,6 +160,77 @@ func TestEngineCacheKeepsNearbyLoadsApart(t *testing.T) {
 	}
 }
 
+// TestEngineCacheScopedToVersion holds a request inside version 1's
+// model while version 2 is installed. The held request finishes after
+// the install has cleared the cache, with version 1's answer. That
+// answer must not be stored: the next request for the same condition
+// reaches version 2's model, and the one after hits version 2's entry.
+func TestEngineCacheScopedToVersion(t *testing.T) {
+	lib := syntheticLibrary(t)
+	m1 := &stubModel{ea: 0.25, gate: make(chan struct{})}
+	m2 := &stubModel{ea: 0.75}
+	e := NewEngine(Config{Obs: obs.NewRegistry()})
+	defer e.Close()
+	if _, err := e.Install(m1, lib); err != nil {
+		t.Fatal(err)
+	}
+	req := testRequest()
+	req.DeadlineMS = 60_000 // the held request must reach the model
+
+	held := make(chan PredictResponse, 1)
+	go func() {
+		resp, serr := e.Predict(req)
+		if serr != nil {
+			t.Errorf("held request: %v", serr)
+		}
+		held <- resp
+	}()
+	for m1.calls.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, err := e.Install(m2, lib); err != nil {
+		t.Fatal(err)
+	}
+	close(m1.gate)
+	if r := <-held; r.ModelVersion != 1 || r.EA != m1.ea || r.Cached {
+		t.Fatalf("held request answered %+v, want version 1's uncached EA %v", r, m1.ea)
+	}
+	for _, wantCached := range []bool{false, true} {
+		r, serr := e.Predict(req)
+		if serr != nil {
+			t.Fatalf("predict after the install: %v", serr)
+		}
+		if r.ModelVersion != 2 || r.EA != m2.ea || r.Cached != wantCached {
+			t.Errorf("after the install: version %d, EA %v, cached %v; want version 2, EA %v, cached %v",
+				r.ModelVersion, r.EA, r.Cached, m2.ea, wantCached)
+		}
+	}
+	if got := m2.rows.Load(); got != 1 {
+		t.Errorf("version 2's model saw %d rows, want 1", got)
+	}
+}
+
+// TestInstallRefusesBadProfiledWays installs a library whose redis rows
+// were profiled with 300 private ways. The install fails and names the
+// service: serving it would have stored 300 as 44 in the cache key's
+// byte.
+func TestInstallRefusesBadProfiledWays(t *testing.T) {
+	lib := syntheticLibrary(t)
+	for i := range lib.Rows {
+		if lib.Rows[i].Service == "redis" {
+			lib.Rows[i].Features[profile.FeatPrivateWays] = 300
+		}
+	}
+	e := NewEngine(Config{Obs: obs.NewRegistry()})
+	defer e.Close()
+	if _, err := e.Install(&stubModel{ea: 0.5}, lib); err == nil || !strings.Contains(err.Error(), `"redis"`) {
+		t.Fatalf("install of redis profiled with 300 private ways: %v; want an error naming redis", err)
+	}
+	if _, ok := e.registry.Current(); ok {
+		t.Error("a refused library was installed")
+	}
+}
+
 func TestEngineRejectsBadRequests(t *testing.T) {
 	e := newTestEngine(t, &stubModel{ea: 0.5}, Config{})
 	cases := []PredictRequest{
@@ -163,11 +239,25 @@ func TestEngineRejectsBadRequests(t *testing.T) {
 		{Service: "redis", Load: 1.2},
 		{Service: "redis", Load: 0.5, PartnerLoad: 1.5},
 		{Service: "redis", Load: 0.5, Timeout: -1},
+		// Way counts outside [0, 64], the simulator's way limit: a
+		// negative one is not taken as unset, and 2^32+3 does not wrap
+		// onto 3 and share its cache entry.
+		{Service: "redis", Load: 0.5, PrivateWays: -1},
+		{Service: "redis", Load: 0.5, PrivateWays: cat.MaxWays + 1},
+		{Service: "redis", Load: 0.5, PrivateWays: 1<<32 + 3},
+		{Service: "redis", Load: 0.5, SharedWays: -1},
+		{Service: "redis", Load: 0.5, SharedWays: cat.MaxWays + 1},
+		{Service: "redis", Load: 0.5, SharedWays: 1<<32 + 3},
 	}
 	for _, req := range cases {
 		if _, serr := e.Predict(req); serr == nil || serr.Code != CodeBadRequest {
 			t.Errorf("request %+v: error %v, want code %s", req, serr, CodeBadRequest)
 		}
+	}
+	req := testRequest()
+	req.PrivateWays, req.SharedWays = cat.MaxWays, cat.MaxWays
+	if _, serr := e.Predict(req); serr != nil {
+		t.Errorf("request at the way limit: %v", serr)
 	}
 }
 
@@ -501,9 +591,12 @@ func TestBatcherNeverMixesVersions(t *testing.T) {
 func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 	lib := syntheticLibrary(t)
 	reg := obs.NewRegistry()
-	e := NewEngine(Config{Obs: reg, CacheSize: -1})
+	e := NewEngine(Config{Obs: reg})
 	defer e.Close()
-	if _, err := e.Install(&stubModel{ea: 0.5}, lib); err != nil {
+	// Each version answers its own EA, so a cached answer of one
+	// version under another's number shows.
+	eaOf := func(version int) float64 { return 0.05 * float64(version) }
+	if _, err := e.Install(&stubModel{ea: eaOf(1)}, lib); err != nil {
 		t.Fatal(err)
 	}
 
@@ -537,8 +630,14 @@ func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 				}
 				if int64(resp.ModelVersion) < floor {
 					failures.Add(1)
-					t.Errorf("response from version %d to a request sent after version %d was installed",
-						resp.ModelVersion, floor)
+					t.Errorf("response from version %d (cached %v) to a request sent after version %d was installed",
+						resp.ModelVersion, resp.Cached, floor)
+					return
+				}
+				if resp.EA != eaOf(resp.ModelVersion) {
+					failures.Add(1)
+					t.Errorf("version %d answered EA %v (cached %v), want %v",
+						resp.ModelVersion, resp.EA, resp.Cached, eaOf(resp.ModelVersion))
 					return
 				}
 				// Loops with no think time would hold every CPU
@@ -549,13 +648,15 @@ func TestEngineReloadUnderConcurrentPredicts(t *testing.T) {
 		}()
 	}
 
+	// Installs go through the engine, which scopes the cache to each new
+	// version; this goroutine alone installs, so the version current
+	// before an install is the one it displaces.
 	var olds []*Version
 	for i := 0; i < 10; i++ {
-		_, old, err := e.registry.Install(&stubModel{ea: 0.5}, lib)
-		if err != nil {
+		olds = append(olds, e.registry.cur.Load())
+		if _, err := e.Install(&stubModel{ea: eaOf(i + 2)}, lib); err != nil {
 			t.Fatal(err)
 		}
-		olds = append(olds, old)
 		installed.Store(int64(i + 2))
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -578,18 +679,18 @@ func TestPredCacheRotationEvicts(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newPredCache(2, reg)
 	k := func(i int32) cacheKey { return cacheKey{load: i} }
-	c.put(k(1), PredictResponse{EA: 1})
-	c.put(k(2), PredictResponse{EA: 2}) // hot full
-	c.put(k(3), PredictResponse{EA: 3}) // rotates: {1,2} cold, {3} hot
-	if _, ok := c.get(k(1)); !ok {
+	c.put(0, k(1), core.Prediction{EA: 1})
+	c.put(0, k(2), core.Prediction{EA: 2}) // hot full
+	c.put(0, k(3), core.Prediction{EA: 3}) // rotates: {1,2} cold, {3} hot
+	if _, ok := c.get(0, k(1)); !ok {
 		t.Error("entry 1 should survive one rotation in the cold generation")
 	}
-	c.put(k(4), PredictResponse{EA: 4})
-	c.put(k(5), PredictResponse{EA: 5}) // rotates again: {3,4} cold
-	if _, ok := c.get(k(1)); ok {
+	c.put(0, k(4), core.Prediction{EA: 4})
+	c.put(0, k(5), core.Prediction{EA: 5}) // rotates again: {3,4} cold
+	if _, ok := c.get(0, k(1)); ok {
 		t.Error("entry 1 should be gone after two rotations")
 	}
-	if _, ok := c.get(k(3)); !ok {
+	if _, ok := c.get(0, k(3)); !ok {
 		t.Error("entry 3 should survive in the cold generation")
 	}
 }
@@ -605,15 +706,70 @@ func TestPredCacheGrowsWithUse(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	c := newPredCache(capacity, reg)
 	for i := range 100 {
-		c.put(cacheKey{service: "redis", load: int32(i)}, PredictResponse{EA: float64(i)})
+		c.put(0, cacheKey{load: int32(i)}, core.Prediction{EA: float64(i)})
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
 		t.Errorf("cache of capacity %d holding 100 entries allocated %.1f MB, want under 2 MB",
 			capacity, float64(got)/(1<<20))
 	}
-	if _, ok := c.get(cacheKey{service: "redis", load: 99}); !ok {
+	if _, ok := c.get(0, cacheKey{load: 99}); !ok {
 		t.Error("entry 99 missing")
+	}
+}
+
+// TestPredCacheEntryIsCompact pins the fast-path entry: a key of at
+// most 24 bytes, and no pointer in the key or in either map's value, so
+// the collector never scans the cache's maps. 60,000 distinct entries,
+// under one generation's default capacity, must hold under 8 MB of live
+// heap. On go1.24 they hold 4.7 MB; entries that kept a whole
+// PredictResponse under a key carrying the service name, decoded afresh
+// for each request, held 13.1 MB.
+func TestPredCacheEntryIsCompact(t *testing.T) {
+	if size := unsafe.Sizeof(cacheKey{}); size > 24 {
+		t.Errorf("cache key is %d bytes, want at most 24", size)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(cacheKey{}), reflect.TypeOf(0.0), reflect.TypeOf(core.Prediction{})} {
+		if holdsPointer(typ) {
+			t.Errorf("cache type %v holds a pointer", typ)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := newPredCache(Config{}.defaults().CacheSize, obs.NewRegistry())
+	for i := range 60_000 {
+		c.put(0, cacheKey{load: int32(i), service: int32(i % 3)}, core.Prediction{EA: float64(i)})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live >= 8<<20 {
+		t.Errorf("60,000 cache entries hold %.1f MB live, want under 8 MB", float64(live)/(1<<20))
+	}
+	if p, ok := c.get(0, cacheKey{load: 59_999, service: 59_999 % 3}); !ok || p.EA != 59_999 {
+		t.Errorf("entry 59999 = %v, %v; want EA 59999", p, ok)
+	}
+}
+
+// holdsPointer reports whether a value of type t holds anything the
+// collector must scan.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	default:
+		return false
 	}
 }
 
