@@ -41,8 +41,8 @@ func runFleetJSON(t *testing.T, name string, args ...string) fleet.Result {
 // JSON output, end to end: the drain scenario forces exactly two moves
 // off the drained node and leaves nothing placed there, and under the
 // hot shift the migrator moves the hot service off the small node and
-// more than halves static placement's fleet p95. CI's fleet-smoke job
-// runs this test.
+// more than halves static placement's fleet p95. It skips under -short;
+// CI's full test step runs it.
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three six-epoch fleet scenarios")

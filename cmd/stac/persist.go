@@ -123,7 +123,7 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	pred, err := core.NewPredictor(model, ds, 2, 0)
+	pred, err := core.NewPredictor(model, ds, 0)
 	if err != nil {
 		return err
 	}

@@ -50,7 +50,6 @@ func serveEngine(args []string) (*serve.Engine, string, error) {
 	burst := fs.Int("burst", 256, "rate-limit burst")
 	deadline := fs.Duration("deadline", 50*time.Millisecond, "default per-request deadline")
 	cache := fs.Int("cache", 65536, "prediction cache entries per generation (negative disables)")
-	servers := fs.Int("servers", 2, "per-service parallelism the predictor models")
 	registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, "", err
@@ -63,7 +62,6 @@ func serveEngine(args []string) (*serve.Engine, string, error) {
 	}
 
 	engine := serve.NewEngine(serve.Config{
-		Servers:         *servers,
 		MaxBatch:        *maxBatch,
 		QueueDepth:      *queue,
 		RateLimit:       *rate,
@@ -130,7 +128,6 @@ func cmdLoadtest(args []string) error {
 	duration := fs.Duration("duration", 5*time.Second, "measured interval")
 	warmup := fs.Duration("warmup", time.Second, "unrecorded warmup interval")
 	qps := fs.Float64("qps", 0, "open-loop offered load (required for -mode open)")
-	kernel := fs.String("kernel", "redis", "workload whose arrival process paces the open loop")
 	conditions := fs.Int("conditions", 512, "runtime-condition pool size (cacheability knob)")
 	deadlineMS := fs.Float64("deadline-ms", 0, "per-request deadline in ms (0 = server default)")
 	nocache := fs.Bool("nocache", false, "bypass the prediction cache (cold batched path)")
@@ -181,7 +178,6 @@ func cmdLoadtest(args []string) error {
 		Duration:   *duration,
 		Warmup:     *warmup,
 		TargetQPS:  *qps,
-		Kernel:     *kernel,
 		Services:   svcList,
 		Conditions: *conditions,
 		DeadlineMS: *deadlineMS,

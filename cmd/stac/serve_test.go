@@ -46,8 +46,8 @@ func getJSON(t *testing.T, url, body string, v any) {
 // TestServeSmoke runs the serving stack end to end on a loopback port:
 // it profiles and trains a tiny model with the shipped commands, serves
 // it as stac serve does, and checks a prediction, a hot reload, the
-// metrics and a short HTTP loadtest against a QPS floor. CI's
-// serve-smoke job runs this test.
+// metrics and a short HTTP loadtest against a QPS floor. It skips under
+// -short; CI's full test step runs it.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles, trains, serves and load-tests a model")

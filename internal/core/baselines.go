@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"stac/internal/counters"
 	"stac/internal/forest"
@@ -106,36 +105,13 @@ func QueueOnlyPredict(s Scenario) (Prediction, error) {
 	if err := s.Validate(); err != nil {
 		return Prediction{}, err
 	}
-	timeout := s.Timeout * s.ExpService
-	if s.Timeout >= profile.TimeoutCap {
-		timeout = math.Inf(1)
-	}
-	cv := s.ServiceCV
-	if cv <= 0 {
-		cv = 0.3
-	}
 	sim := simulators.Get().(*queueing.Simulator)
 	defer simulators.Put(sim)
-	res, err := sim.Run(queueing.Config{
-		Servers:   s.Servers,
-		Arrival:   stats.Exponential{Rate: s.Load * float64(s.Servers) / s.ExpService},
-		Service:   stats.LognormalFromMeanCV(s.ExpService, cv),
-		Timeout:   timeout,
-		BoostRate: s.BoostRatio,
-		Queries:   4000,
-		Warmup:    400,
-		Seed:      1,
-	})
+	res, err := sim.Run(stage3Config(s, s.ExpService, s.BoostRatio, 4000))
 	if err != nil {
 		return Prediction{}, err
 	}
-	return Prediction{
-		EA:           1,
-		MeanResponse: res.MeanResponse(),
-		P95Response:  res.P95Response(),
-		QueueDelay:   res.MeanQueueDelay(),
-		BoostedFrac:  res.BoostedFrac,
-	}, nil
+	return predictionOf(1, res), nil
 }
 
 // EvaluateResponseModel computes per-row absolute percentage errors of a
@@ -147,7 +123,7 @@ func QueueOnlyPredict(s Scenario) (Prediction, error) {
 // the same methodology"). Rows are distributed over up to workers
 // goroutines (0 = GOMAXPROCS); each row's error lands in its own slot,
 // so the result is identical at any worker count.
-func EvaluateResponseModel(m ResponseModel, library, test profile.Dataset, servers, workers int) ([]float64, error) {
+func EvaluateResponseModel(m ResponseModel, library, test profile.Dataset, workers int) ([]float64, error) {
 	builder, err := NewInputBuilder(library)
 	if err != nil {
 		return nil, err
@@ -155,7 +131,7 @@ func EvaluateResponseModel(m ResponseModel, library, test profile.Dataset, serve
 	errs := make([]float64, test.Len())
 	err = par.ForEach(workers, test.Len(), func(i int) error {
 		r := test.Rows[i]
-		input, err := builder.Build(ScenarioFromRow(r, servers))
+		input, err := builder.Build(ScenarioFromRow(r))
 		if err != nil {
 			return fmt.Errorf("core: row %d: %w", i, err)
 		}
@@ -175,10 +151,10 @@ func EvaluateResponseModel(m ResponseModel, library, test profile.Dataset, serve
 // immutable, so concurrent PredictResponse calls are safe; per-row errors
 // land in index-addressed slots and the result is identical at any worker
 // count.
-func EvaluatePredictor(p *Predictor, test profile.Dataset, servers, workers int) ([]float64, error) {
+func EvaluatePredictor(p *Predictor, test profile.Dataset, workers int) ([]float64, error) {
 	errs := make([]float64, test.Len())
 	err := par.ForEach(workers, test.Len(), func(i int) error {
-		pred, err := p.PredictResponse(ScenarioFromRow(test.Rows[i], servers))
+		pred, err := p.PredictResponse(ScenarioFromRow(test.Rows[i]))
 		if err != nil {
 			return fmt.Errorf("core: row %d: %w", i, err)
 		}
@@ -194,10 +170,10 @@ func EvaluatePredictor(p *Predictor, test profile.Dataset, servers, workers int)
 // EvaluateQueueOnly computes per-row errors for the queueing-only
 // baseline over up to workers goroutines (0 = GOMAXPROCS); results are
 // identical at any worker count.
-func EvaluateQueueOnly(test profile.Dataset, servers, workers int) ([]float64, error) {
+func EvaluateQueueOnly(test profile.Dataset, workers int) ([]float64, error) {
 	errs := make([]float64, test.Len())
 	err := par.ForEach(workers, test.Len(), func(i int) error {
-		pred, err := QueueOnlyPredict(ScenarioFromRow(test.Rows[i], servers))
+		pred, err := QueueOnlyPredict(ScenarioFromRow(test.Rows[i]))
 		if err != nil {
 			return fmt.Errorf("core: row %d: %w", i, err)
 		}

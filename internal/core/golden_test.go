@@ -37,7 +37,7 @@ func TestGoldenPredictGrid(t *testing.T) {
 		if rows.Len() == 0 {
 			t.Fatalf("no %s rows", svc)
 		}
-		templates[i] = ScenarioFromRow(rows.Rows[0], 2)
+		templates[i] = ScenarioFromRow(rows.Rows[0])
 		templates[i].Load, templates[i].PartnerLoad = 0.9, 0.9
 	}
 
@@ -47,7 +47,7 @@ func TestGoldenPredictGrid(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			p, err := NewPredictor(model, ds, 2, 0)
+			p, err := NewPredictor(model, ds, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,7 @@ func TestInputBuilderPrefersSameService(t *testing.T) {
 			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
 			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
 		},
-		Service: "redis", ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
+		Service: "redis", ExpService: 5e-5, ServiceCV: 0.4,
 	}
 	in, err := b.Build(s)
 	if err != nil {
@@ -78,7 +78,7 @@ func TestInputBuilderWeightsByDistance(t *testing.T) {
 			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
 			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
 		},
-		Service: "redis", ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
+		Service: "redis", ExpService: 5e-5, ServiceCV: 0.4,
 	}
 	in, err := b.Build(s)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestInputBuilderFallsBackAcrossServices(t *testing.T) {
 			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
 			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
 		},
-		Service: "social", ExpService: 5e-5, ServiceCV: 0.4, Servers: 2,
+		Service: "social", ExpService: 5e-5, ServiceCV: 0.4,
 	}
 	if _, err := b.Build(s); err != nil {
 		t.Fatalf("no-same-service scenario should fall back, got %v", err)
@@ -116,7 +116,7 @@ func TestInputBuilderShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ScenarioFromRow(lib.Rows[0], 2)
+	s := ScenarioFromRow(lib.Rows[0])
 	in, err := b.Build(s)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestInputBuilderBuildAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ScenarioFromRow(lib.Rows[0], 2)
+	s := ScenarioFromRow(lib.Rows[0])
 	s.Load = 0.6
 	const want = 8
 	if got := testing.AllocsPerRun(100, func() { _, _ = b.Build(s) }); got > want {
@@ -175,7 +175,7 @@ func TestPredictWithEAConsistency(t *testing.T) {
 			Load: 0.6, Timeout: 0, PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2,
 			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
 		},
-		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4,
 	}
 	// With timeout 0 every query is boosted: aggregate service time must
 	// approach ExpService/(eaPolicy·R).
@@ -200,7 +200,7 @@ func TestPredictWithEANeverBoost(t *testing.T) {
 			Load: 0.6, Timeout: profile.TimeoutCap, PartnerLoad: 0.5, PartnerTimeout: 2,
 			PrivateWays: 2, SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
 		},
-		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4,
 	}
 	eaNever := 0.45
 	pred, err := PredictWithEA(s, eaNever, eaNever, 20000)
@@ -226,7 +226,7 @@ func TestPooledSimulatorsConcurrent(t *testing.T) {
 			PartnerLoad: 0.5, PartnerTimeout: 2, PrivateWays: 2, SharedWays: 2,
 			BoostRatio: 2, SamplePeriodRel: 1,
 		},
-		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4, Servers: 2,
+		Service: "redis", ExpService: 1e-4, ServiceCV: 0.4,
 	}
 	type out struct{ ea, queue Prediction }
 	var scenarios []Scenario

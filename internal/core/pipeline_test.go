@@ -34,7 +34,7 @@ func trainPredictor(t *testing.T, train profile.Dataset, seed uint64) *Predictor
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPredictor(model, train, 2, 0)
+	p, err := NewPredictor(model, train, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	test = test.AggregateByCondition()
 	p := trainPredictor(t, train, 9)
 
-	errs, err := EvaluatePredictor(p, test, 2, 1)
+	errs, err := EvaluatePredictor(p, test, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linErrs, err := EvaluateResponseModel(lin, train, test, 2, 1)
+	linErrs, err := EvaluateResponseModel(lin, train, test, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPredictResponseDirectionality(t *testing.T) {
 			Load: 0.9, Timeout: 1, PartnerLoad: 0.5, PartnerTimeout: 3, PrivateWays: 2,
 			SharedWays: 2, BoostRatio: 2, SamplePeriodRel: 1,
 		},
-		Service: "redis", ExpService: ds.Rows[0].ExpService, ServiceCV: 0.35, Servers: 2,
+		Service: "redis", ExpService: ds.Rows[0].ExpService, ServiceCV: 0.35,
 	}
 	hi, err := p.PredictResponse(base)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 	}
 	ds := buildDataset(t, 4, 17)
 	r := ds.Rows[0]
-	s := ScenarioFromRow(r, 2)
+	s := ScenarioFromRow(r)
 	if s.Service != r.Service {
 		t.Fatal("service lost")
 	}
@@ -139,7 +139,7 @@ func TestScenarioValidate(t *testing.T) {
 		Static: profile.Static{
 			Load: 0.5, Timeout: 1, BoostRatio: 2,
 		},
-		Service: "redis", ExpService: 1e-4, Servers: 2,
+		Service: "redis", ExpService: 1e-4,
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -155,11 +155,6 @@ func TestScenarioValidate(t *testing.T) {
 		t.Error("zero service time accepted")
 	}
 	bad = good
-	bad.Servers = 0
-	if bad.Validate() == nil {
-		t.Error("zero servers accepted")
-	}
-	bad = good
 	bad.Timeout = -1
 	if bad.Validate() == nil {
 		t.Error("negative timeout accepted")
@@ -172,15 +167,12 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 func TestNewPredictorErrors(t *testing.T) {
-	if _, err := NewPredictor(nil, profile.Dataset{}, 2, 0); err == nil {
+	if _, err := NewPredictor(nil, profile.Dataset{}, 0); err == nil {
 		t.Error("nil model accepted")
 	}
 	ds := profile.Dataset{Schema: profile.DefaultSchema(), Rows: []profile.Row{{}}}
-	if _, err := NewPredictor(stubModel{}, profile.Dataset{Schema: ds.Schema}, 2, 0); err == nil {
+	if _, err := NewPredictor(stubModel{}, profile.Dataset{Schema: ds.Schema}, 0); err == nil {
 		t.Error("empty library accepted")
-	}
-	if _, err := NewPredictor(stubModel{}, ds, 0, 0); err == nil {
-		t.Error("zero servers accepted")
 	}
 }
 

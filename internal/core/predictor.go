@@ -27,6 +27,7 @@ import (
 	"stac/internal/profile"
 	"stac/internal/queueing"
 	"stac/internal/stats"
+	"stac/internal/testbed"
 )
 
 // EAModel predicts effective cache allocation from a profile feature
@@ -50,8 +51,6 @@ type Scenario struct {
 	ExpService float64
 	// ServiceCV is the service-time coefficient of variation.
 	ServiceCV float64
-	// Servers is the per-service parallelism (cores).
-	Servers int
 }
 
 // Validate reports scenario errors.
@@ -68,21 +67,17 @@ func (s Scenario) Validate() error {
 	if s.BoostRatio <= 0 {
 		return fmt.Errorf("core: non-positive boost ratio")
 	}
-	if s.Servers <= 0 {
-		return fmt.Errorf("core: non-positive servers")
-	}
 	return nil
 }
 
 // ScenarioFromRow reconstructs the scenario a profile row was measured
 // under — used when evaluating prediction accuracy on held-out rows.
-func ScenarioFromRow(r profile.Row, servers int) Scenario {
+func ScenarioFromRow(r profile.Row) Scenario {
 	return Scenario{
 		Static:     profile.StaticOf(r.Features),
 		Service:    r.Service,
 		ExpService: r.ExpService,
 		ServiceCV:  r.STCV,
-		Servers:    servers,
 	}
 }
 
@@ -107,16 +102,10 @@ type Prediction struct {
 type Predictor struct {
 	model   EAModel
 	builder *InputBuilder
-	servers int
 	// workers bounds the predictor's own fan-outs: the correction fit
 	// and batch callers such as policy.ModelDriven (see Workers).
 	workers int
 
-	// Feedback iterations between the EA model and the queueing
-	// simulator (2 matches the paper's converged behaviour).
-	iterations int
-	// simQueries controls Stage 3 simulation length.
-	simQueries int
 	// correction holds per-service residual corrections fitted on the
 	// training library: log(actual) ≈ a + b·log(predicted) + c·load. The
 	// G/G/k abstraction misses state-dependent service rates (two
@@ -127,21 +116,25 @@ type Predictor struct {
 	correction map[string]*linreg.Model
 }
 
+// Stage 3 of the full pipeline runs feedbackIterations rounds of
+// feedback between the EA model and the queueing simulator (2 matches
+// the paper's converged behaviour), each simulation simQueries long.
+const (
+	feedbackIterations = 2
+	simQueries         = 8000
+)
+
 // NewPredictor assembles a pipeline from a trained EA model and the
-// profiling library it was trained on. servers is the per-service core
-// count of the deployment being modelled. workers bounds the parallelism
+// profiling library it was trained on. workers bounds the parallelism
 // of the residual-correction fit and of the predictor's batch callers
 // (0 = GOMAXPROCS, 1 = sequential); the predictor is identical at any
 // count.
-func NewPredictor(model EAModel, library profile.Dataset, servers, workers int) (*Predictor, error) {
+func NewPredictor(model EAModel, library profile.Dataset, workers int) (*Predictor, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: nil EA model")
 	}
 	if library.Len() == 0 {
 		return nil, fmt.Errorf("core: empty profile library")
-	}
-	if servers <= 0 {
-		return nil, fmt.Errorf("core: non-positive servers")
 	}
 	builder, err := NewInputBuilder(library)
 	if err != nil {
@@ -150,10 +143,7 @@ func NewPredictor(model EAModel, library profile.Dataset, servers, workers int) 
 	p := &Predictor{
 		model:      model,
 		builder:    builder,
-		servers:    servers,
 		workers:    workers,
-		iterations: 2,
-		simQueries: 8000,
 		correction: map[string]*linreg.Model{},
 	}
 	p.fitCorrections(library)
@@ -187,7 +177,7 @@ func (p *Predictor) fitCorrections(library profile.Dataset) {
 		if r.RespMean <= 0 || r.ExpService <= 0 {
 			return nil
 		}
-		if pred, err := p.predictRaw(ScenarioFromRow(r, p.servers)); err == nil {
+		if pred, err := p.predictRaw(ScenarioFromRow(r)); err == nil {
 			preds[i] = pred
 		}
 		return nil
@@ -201,7 +191,7 @@ func (p *Predictor) fitCorrections(library profile.Dataset) {
 		if pred.MeanResponse <= 0 {
 			continue
 		}
-		s := ScenarioFromRow(r, p.servers)
+		s := ScenarioFromRow(r)
 		perServiceX[r.Service] = append(perServiceX[r.Service], correctionFeatures(s, pred.MeanResponse))
 		perServiceY[r.Service] = append(perServiceY[r.Service], math.Log(r.RespMean/r.ExpService))
 		perServiceResp[r.Service] = append(perServiceResp[r.Service], r.RespMean)
@@ -368,7 +358,7 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 	neverDynamic[profile.DynBoostedFrac] = 0 // never-boost windows have zero boosted queries
 
 	var pred Prediction
-	for iter := 0; iter <= p.iterations; iter++ {
+	for iter := 0; iter <= feedbackIterations; iter++ {
 		eaPolicy, err := p.predictEA(s, nb, dynamic)
 		if err != nil {
 			return Prediction{}, err
@@ -378,7 +368,7 @@ func (p *Predictor) predictRaw(s Scenario) (Prediction, error) {
 			return Prediction{}, err
 		}
 		var res queueing.Result
-		pred, res, err = predictWithEA(sim, s, eaPolicy, eaNever, p.simQueries)
+		pred, res, err = predictWithEA(sim, s, eaPolicy, eaNever, simQueries)
 		if err != nil {
 			return Prediction{}, err
 		}
@@ -424,26 +414,7 @@ func predictWithEA(sim *queueing.Simulator, s Scenario, eaPolicy, eaNever float6
 	// Contended default-phase speed factor (1 = matches the solo
 	// calibration; below 1 = neighbours slow us down).
 	defaultRate := clampRate(eaNever*s.BoostRatio, 0.2, 1.5)
-	baseMean := s.ExpService / defaultRate
-
-	timeout := s.Timeout * s.ExpService
-	if s.Timeout >= profile.TimeoutCap {
-		timeout = math.Inf(1)
-	}
-	cv := s.ServiceCV
-	if cv <= 0 {
-		cv = 0.3
-	}
-	cfg := queueing.Config{
-		Servers:   s.Servers,
-		Arrival:   stats.Exponential{Rate: s.Load * float64(s.Servers) / s.ExpService},
-		Service:   stats.LognormalFromMeanCV(baseMean, cv),
-		Timeout:   timeout,
-		BoostRate: 1,
-		Queries:   simQueries,
-		Warmup:    simQueries / 10,
-		Seed:      1,
-	}
+	cfg := stage3Config(s, s.ExpService/defaultRate, 1, simQueries)
 
 	// Target aggregate mean service time under the policy.
 	target := s.ExpService / clampRate(eaPolicy*s.BoostRatio, 0.1, 3)
@@ -464,7 +435,7 @@ func predictWithEA(sim *queueing.Simulator, s Scenario, eaPolicy, eaNever float6
 	if err != nil {
 		return Prediction{}, queueing.Result{}, err
 	}
-	if !math.IsInf(timeout, 1) && res.BoostedFrac > 0.02 {
+	if !math.IsInf(cfg.Timeout, 1) && res.BoostedFrac > 0.02 {
 		// Bisection on the boost multiplier: aggregate service time is
 		// monotone decreasing in m.
 		lo, hi := 0.25, 6.0
@@ -482,13 +453,46 @@ func predictWithEA(sim *queueing.Simulator, s Scenario, eaPolicy, eaNever float6
 		}
 	}
 
+	return predictionOf(eaPolicy, res), res, nil
+}
+
+// stage3Config is the G/G/k simulation of a scenario's service on
+// testbed.DefaultCoresPerService servers: Poisson arrivals at the
+// scenario's load, lognormal service times of mean serviceMean and the
+// scenario's variability (0.3 when unknown), and its timeout in seconds.
+// Every Stage-3 simulation uses seed 1 and warms up on a tenth of its
+// queries.
+func stage3Config(s Scenario, serviceMean, boostRate float64, queries int) queueing.Config {
+	timeout := s.Timeout * s.ExpService
+	if s.Timeout >= profile.TimeoutCap {
+		timeout = math.Inf(1)
+	}
+	cv := s.ServiceCV
+	if cv <= 0 {
+		cv = 0.3
+	}
+	return queueing.Config{
+		Servers:   testbed.DefaultCoresPerService,
+		Arrival:   stats.Exponential{Rate: s.Load * testbed.DefaultCoresPerService / s.ExpService},
+		Service:   stats.LognormalFromMeanCV(serviceMean, cv),
+		Timeout:   timeout,
+		BoostRate: boostRate,
+		Queries:   queries,
+		Warmup:    queries / 10,
+		Seed:      1,
+	}
+}
+
+// predictionOf reads a Stage-3 result as the prediction at effective
+// allocation ea.
+func predictionOf(ea float64, res queueing.Result) Prediction {
 	return Prediction{
-		EA:           eaPolicy,
+		EA:           ea,
 		MeanResponse: res.MeanResponse(),
 		P95Response:  res.P95Response(),
 		QueueDelay:   res.MeanQueueDelay(),
 		BoostedFrac:  res.BoostedFrac,
-	}, res, nil
+	}
 }
 
 func clampRate(v, lo, hi float64) float64 {

@@ -72,13 +72,13 @@ func Fig6(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		es, err := core.EvaluatePredictor(p, ourTest, 2, opts.Workers)
+		es, err := core.EvaluatePredictor(p, ourTest, opts.Workers)
 		if err != nil {
 			return err
 		}
 		perPair[pi].oursErrs = es
 
-		qs, err := core.EvaluateQueueOnly(ourTest, 2, opts.Workers)
+		qs, err := core.EvaluateQueueOnly(ourTest, opts.Workers)
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func Fig6(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	linErrs, err := core.EvaluateResponseModel(lin, pooledTrain, pooledTest, 2, opts.Workers)
+	linErrs, err := core.EvaluateResponseModel(lin, pooledTrain, pooledTest, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func Fig6(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	treeErrs, err := core.EvaluateResponseModel(tree, pooledTrain, pooledTest, 2, opts.Workers)
+	treeErrs, err := core.EvaluateResponseModel(tree, pooledTrain, pooledTest, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func Fig6(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cnnErrs, err := core.EvaluateResponseModel(cnn, pooledTrain, pooledTest, 2, opts.Workers)
+	cnnErrs, err := core.EvaluateResponseModel(cnn, pooledTrain, pooledTest, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

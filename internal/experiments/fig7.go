@@ -70,7 +70,7 @@ func Fig7a(opts Options) (*Report, error) {
 			if sub.Len() == 0 {
 				continue
 			}
-			errs, err := core.EvaluatePredictor(p, sub, 2, opts.Workers)
+			errs, err := core.EvaluatePredictor(p, sub, opts.Workers)
 			if err != nil {
 				return err
 			}
@@ -177,7 +177,7 @@ func Fig7b(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		errs, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, test, opts.Workers)
 		if err != nil {
 			return err
 		}
@@ -230,11 +230,11 @@ func Fig7c(opts Options) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		p, err := core.NewPredictor(model, train, 2, opts.Workers)
+		p, err := core.NewPredictor(model, train, opts.Workers)
 		if err != nil {
 			return 0, err
 		}
-		errs, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, test, opts.Workers)
 		if err != nil {
 			return 0, err
 		}

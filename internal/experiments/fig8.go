@@ -219,7 +219,7 @@ func Fig8e(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		simpleP, err := core.NewPredictor(rf, ds, 2, opts.Workers)
+		simpleP, err := core.NewPredictor(rf, ds, opts.Workers)
 		if err != nil {
 			return err
 		}

@@ -168,7 +168,7 @@ func trainPipeline(train profile.Dataset, opts Options, seed uint64) (*core.Pred
 	}
 	elapsed := time.Since(start)
 	obs.H("train/pipeline_seconds").Observe(elapsed.Seconds())
-	p, err := core.NewPredictor(model, train, 2, opts.Workers)
+	p, err := core.NewPredictor(model, train, opts.Workers)
 	if err != nil {
 		return nil, nil, 0, err
 	}

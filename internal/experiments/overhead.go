@@ -56,7 +56,7 @@ func Overhead(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		errs, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, test, opts.Workers)
 		if err != nil {
 			return err
 		}
@@ -129,7 +129,7 @@ func Sampling(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		errs, err := core.EvaluatePredictor(p, testDS, 2, opts.Workers)
+		errs, err := core.EvaluatePredictor(p, testDS, opts.Workers)
 		if err != nil {
 			return err
 		}

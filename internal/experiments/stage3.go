@@ -37,18 +37,18 @@ func Stage3Ablation(opts Options) (*Report, error) {
 
 	// The full evaluation must finish before ClearCorrections strips the
 	// stacking stage — the predictor is immutable only between mutations.
-	full, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
+	full, err := core.EvaluatePredictor(p, test, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 
 	p.ClearCorrections()
-	noCorr, err := core.EvaluatePredictor(p, test, 2, opts.Workers)
+	noCorr, err := core.EvaluatePredictor(p, test, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 
-	queueOnly, err := core.EvaluateQueueOnly(test, 2, opts.Workers)
+	queueOnly, err := core.EvaluateQueueOnly(test, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -58,11 +58,11 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rfPred, err := core.NewPredictor(rf, train, 2, opts.Workers)
+	rfPred, err := core.NewPredictor(rf, train, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	rfErrs, err := core.EvaluatePredictor(rfPred, test, 2, opts.Workers)
+	rfErrs, err := core.EvaluatePredictor(rfPred, test, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -70,11 +70,11 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gbPred, err := core.NewPredictor(gb, train, 2, opts.Workers)
+	gbPred, err := core.NewPredictor(gb, train, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	gbErrs, err := core.EvaluatePredictor(gbPred, test, 2, opts.Workers)
+	gbErrs, err := core.EvaluatePredictor(gbPred, test, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func Stage3Ablation(opts Options) (*Report, error) {
 	oracle := make([]float64, test.Len())
 	if err := par.ForEach(opts.Workers, test.Len(), func(i int) error {
 		r := test.Rows[i]
-		s := core.ScenarioFromRow(r, 2)
+		s := core.ScenarioFromRow(r)
 		pred, err := core.PredictWithEA(s, r.EA, nearestNeverEA(test, r), 8000)
 		if err != nil {
 			return err

@@ -43,7 +43,7 @@ type NodeSpec struct {
 	// geometry, memory bandwidth cap).
 	Processor testbed.Processor
 	// CoresPerService is the node's per-service core provision
-	// (default 2, the paper's setting).
+	// (default testbed.DefaultCoresPerService, the paper's setting).
 	CoresPerService int
 	// PrivateWays/SharedWays define the node's chain CAT plan
 	// (defaults 2/2). A rolling plan rollout overrides these per epoch.
@@ -165,7 +165,7 @@ func (c Config) Defaults() Config {
 	}
 	for i := range c.Nodes {
 		if c.Nodes[i].CoresPerService == 0 {
-			c.Nodes[i].CoresPerService = 2
+			c.Nodes[i].CoresPerService = testbed.DefaultCoresPerService
 		}
 		if c.Nodes[i].PrivateWays == 0 {
 			c.Nodes[i].PrivateWays = 2
@@ -314,15 +314,4 @@ func layoutFits(n NodeSpec, priv, shared, k int) bool {
 	}
 	_, err := cat.PlanChain(n.Processor.Ways, k, priv, shared)
 	return err == nil
-}
-
-// refCalibration returns the service's solo expected service time on
-// the reference node (node 0) under a default-width private span — the
-// quantity that converts Load into a fleet-wide arrival rate and
-// anchors SLAs, independent of where the service currently runs.
-func refCalibration(cfg Config, svc int) (float64, error) {
-	n := cfg.Nodes[0]
-	mask := cat.Setting{Offset: 0, Length: n.PrivateWays}.Mask()
-	return testbed.CalibrateServiceTime(n.Processor, cfg.Services[svc].Kernel, mask,
-		uint64(svc+1)<<32, cfg.Seed+uint64(svc)*7919)
 }

@@ -38,24 +38,11 @@ func mix(vals ...uint64) uint64 {
 	return h
 }
 
-// soloKey identifies a solo calibration. The epoch enters only through
-// the node plan's private span, so the span itself is the key — under a
-// Rollout the same (svc, node) legitimately recalibrates when the plan
-// flips.
-type soloKey struct {
-	svc, node, priv int
-}
-
 // soloOn returns the service's calibrated solo service time on a node
-// under its current-plan private span. Calibration is deterministic in
-// (service, node, span), so results are memoised for the run's lifetime;
-// repeat calls cost a map lookup instead of a cache-simulation sweep.
-func (st *state) soloOn(svc, node, epoch int) (float64, error) {
-	priv, _ := st.cfg.nodePlan(epoch, node)
-	key := soloKey{svc: svc, node: node, priv: priv}
-	if exp, ok := st.soloMemo[key]; ok {
-		return exp, nil
-	}
+// under a private span of priv ways. testbed.CalibrateServiceTime
+// memoises calibrations process-wide, so a repeat costs a map lookup
+// instead of a cache-simulation sweep.
+func (st *state) soloOn(svc, node, priv int) (float64, error) {
 	spec := st.cfg.Nodes[node]
 	mask := cat.Setting{Offset: 0, Length: priv}.Mask()
 	exp, err := testbed.CalibrateServiceTime(spec.Processor, st.cfg.Services[svc].Kernel,
@@ -63,7 +50,6 @@ func (st *state) soloOn(svc, node, epoch int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("fleet: calibrating %s on %s: %w", st.svcName[svc], spec.Name, err)
 	}
-	st.soloMemo[key] = exp
 	return exp, nil
 }
 
@@ -72,14 +58,17 @@ func (st *state) soloOn(svc, node, epoch int) (float64, error) {
 // contention factor (measured / solo) is transplanted onto the
 // candidate's solo calibration; without one (e.g. a drain before any
 // traffic) the candidate's solo time is inflated by a per-hosted-service
-// contention increment.
+// contention increment. Each solo time is calibrated at the private span
+// of the node's plan in the epoch it applies to.
 func (st *state) muEstimate(svc, from, to, epoch int, hostedOnTo int) (float64, error) {
-	soloTo, err := st.soloOn(svc, to, epoch+1)
+	priv, _ := st.cfg.nodePlan(epoch+1, to)
+	soloTo, err := st.soloOn(svc, to, priv)
 	if err != nil {
 		return 0, err
 	}
 	if from >= 0 && st.meas[svc][from] > 0 {
-		soloFrom, err := st.soloOn(svc, from, epoch)
+		priv, _ := st.cfg.nodePlan(epoch, from)
+		soloFrom, err := st.soloOn(svc, from, priv)
 		if err != nil {
 			return 0, err
 		}
@@ -90,33 +79,13 @@ func (st *state) muEstimate(svc, from, to, epoch int, hostedOnTo int) (float64, 
 	return soloTo * (1 + 0.1*float64(hostedOnTo)), nil
 }
 
-// predKey identifies one migration prediction within a decision pass.
-// The epoch is deliberately absent: it feeds only the simulation seed,
-// and the memo is cleared at the start of every migrate/drain pass, so
-// a single epoch value is in play for a memo's whole lifetime.
-type predKey struct {
-	svc, node int
-	mu, rate  uint64 // math.Float64bits
-	cold      bool
-}
-
 // predictP95 runs the migrator's queueing model: a G/G/k FCFS
 // simulation at the replica's next-epoch arrival rate with the
-// estimated mean service time and the service's demand CV. Identical
-// questions within one decision pass — the same candidate node judged
-// for several replicas at the same estimated mu and rate — are answered
-// from the pass-local memo instead of re-simulating.
+// estimated mean service time and the service's demand CV, on the
+// node's own per-service core count.
 func (st *state) predictP95(svc, node, epoch int, mu, rate float64, cold bool) float64 {
 	if rate <= 0 || mu <= 0 {
 		return 0
-	}
-	key := predKey{
-		svc: svc, node: node,
-		mu: math.Float64bits(mu), rate: math.Float64bits(rate),
-		cold: cold,
-	}
-	if p, ok := st.predMemo[key]; ok {
-		return p
 	}
 	if cold {
 		// Amortise the cold-cache demand inflation over the queries of
@@ -128,28 +97,22 @@ func (st *state) predictP95(svc, node, epoch int, mu, rate float64, cold bool) f
 		}
 		mu *= 1 + (coldPenalty-1)*frac
 	}
-	cv := st.cv[svc]
-	if cv <= 0 {
-		cv = 0.3
-	}
 	// st.msim reuses its buffers across predictions; migrate/drain run
 	// single-threaded on the epoch driver, so one simulator suffices.
 	res, err := st.msim.Run(queueing.Config{
 		Servers:   st.cfg.Nodes[node].CoresPerService,
 		Arrival:   stats.Exponential{Rate: rate},
-		Service:   stats.LognormalFromMeanCV(mu, cv),
+		Service:   stats.LognormalFromMeanCV(mu, st.cv[svc]),
 		Timeout:   math.Inf(1),
 		BoostRate: 1,
 		Queries:   predictQueries,
 		Warmup:    predictWarmup,
 		Seed:      mix(st.cfg.Seed, uint64(epoch+1), uint64(svc+1), uint64(node+1)),
 	})
-	p := math.Inf(1)
-	if err == nil {
-		p = res.P95Response()
+	if err != nil {
+		return math.Inf(1)
 	}
-	st.predMemo[key] = p
-	return p
+	return res.P95Response()
 }
 
 // hostedCount returns how many services a node hosts.
@@ -208,7 +171,6 @@ func (st *state) move(svc, from, to, epoch int, reason string, predFrom, predTo 
 // to the candidate node with the best prediction, provided the win
 // clears the cold-start margin.
 func (st *state) migrate(e int) error {
-	clear(st.predMemo)
 	for i, s := range st.cfg.Services {
 		nextRate := st.rate[i] * s.rateAt(e+1)
 		// One move per service per epoch, judged replica by replica in
@@ -255,7 +217,6 @@ func (st *state) migrate(e int) error {
 // for the epoch that is about to run. Destinations are chosen by the
 // same queueing model (best predicted p95 among feasible nodes).
 func (st *state) drain(e int) error {
-	clear(st.predMemo)
 	node := -1
 	for n, spec := range st.cfg.Nodes {
 		if spec.Name == st.cfg.DrainNode {

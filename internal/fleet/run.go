@@ -80,12 +80,9 @@ type state struct {
 	machMu   sync.Mutex
 	machines [][]*testbed.Machine // [node]
 
-	// Migration-model scratch (migrate.go): a buffer-reusing queueing
-	// simulator, the per-pass prediction memo and the persistent
-	// solo-calibration memo. All touched only from the driver goroutine.
-	msim     *queueing.Simulator
-	predMemo map[predKey]float64
-	soloMemo map[soloKey]float64
+	// msim is the migration model's buffer-reusing queueing simulator
+	// (migrate.go), touched only from the driver goroutine.
+	msim *queueing.Simulator
 
 	// Accumulators. Each merged response is stored once, in (epoch,
 	// node, service, query) order, tagged with its node and service;
@@ -125,8 +122,6 @@ func newState(cfg Config) (*state, error) {
 		specCold:    make([][]int, nn),
 		machines:    make([][]*testbed.Machine, nn),
 		msim:        queueing.NewSimulator(),
-		predMemo:    make(map[predKey]float64),
-		soloMemo:    make(map[soloKey]float64),
 		epochP95:    make([]float64, 0, cfg.Epochs),
 		epochSvcP95: make([][]float64, ns),
 		migCount:    make([]int, ns),
@@ -144,9 +139,12 @@ func newState(cfg Config) (*state, error) {
 		if kernelCount[s.Kernel.Name] > 1 {
 			st.svcName[i] = fmt.Sprintf("%s-%d", s.Kernel.Name, i)
 		}
-		exp, err := refCalibration(cfg, i)
+		// The solo time on the reference node (node 0) at its configured
+		// span converts Load into a fleet-wide arrival rate and anchors
+		// the SLA, wherever the service runs.
+		exp, err := st.soloOn(i, 0, cfg.Nodes[0].PrivateWays)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: calibrating %s: %w", st.svcName[i], err)
+			return nil, err
 		}
 		st.expRef[i] = exp
 		st.demandMean[i] = s.Kernel.Demand.Mean()

@@ -53,7 +53,7 @@ func TestGoldenModelDriven(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			// NewPredictor fits the residual corrections and modelDriven
 			// predicts the grid on GOMAXPROCS workers (workers 0).
-			p, err := core.NewPredictor(model, ds, 2, 0)
+			p, err := core.NewPredictor(model, ds, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -390,7 +390,6 @@ func ScenarioTemplate(lib profile.Dataset, service string, load, partnerLoad flo
 		Service:    service,
 		ExpService: exp,
 		ServiceCV:  cv / n,
-		Servers:    2,
 	}, nil
 }
 

@@ -138,7 +138,7 @@ func TestModelDrivenSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewPredictor(model, ds, 2, 0)
+	p, err := core.NewPredictor(model, ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,6 @@ import (
 // Config parameterises an Engine. The zero value gets sensible serving
 // defaults from defaults().
 type Config struct {
-	// Servers is the per-service parallelism the predictor models
-	// (default 2, matching the evaluation deployments).
-	Servers int
 	// MaxBatch caps how many queued predictions one PredictBatch call
 	// absorbs (default 64). The batcher never waits for companions: a
 	// batch is whatever queued while the model was busy.
@@ -42,9 +39,6 @@ type Config struct {
 }
 
 func (c Config) defaults() Config {
-	if c.Servers <= 0 {
-		c.Servers = 2
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -126,7 +120,7 @@ func NewEngine(cfg Config) *Engine {
 	cfg = cfg.defaults()
 	e := &Engine{
 		cfg:      cfg,
-		registry: NewRegistry(cfg.Servers),
+		registry: NewRegistry(),
 		batcher:  newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.Obs),
 		cache:    newPredCache(cfg.CacheSize, cfg.Obs),
 		limiter:  newTokenBucket(cfg.RateLimit, cfg.RateBurst),

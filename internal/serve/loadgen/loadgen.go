@@ -6,9 +6,8 @@
 //
 //   - closed: N workers issue requests back-to-back. Measures the
 //     server's capacity — achieved QPS is the headline number.
-//   - open: arrivals follow a workload arrival process (exponential
-//     inter-arrivals paced by internal/workload sources) replayed in
-//     real time at a target rate, independent of completions. Measures
+//   - open: Poisson arrivals (exponential inter-arrival gaps) replayed
+//     in real time at a target rate, independent of completions. Measures
 //     latency at a fixed offered load, the honest tail-latency setup —
 //     a closed loop hides queueing delay by self-throttling. Each
 //     request is timed from its due time, so a generator that falls
@@ -29,7 +28,6 @@ import (
 
 	"stac/internal/serve"
 	"stac/internal/stats"
-	"stac/internal/workload"
 )
 
 // Target is anything that can answer one prediction request.
@@ -51,9 +49,6 @@ type Config struct {
 	Warmup   time.Duration
 	// TargetQPS is the open-loop offered load (required for open mode).
 	TargetQPS float64
-	// Kernel names the workload whose source paces open-loop arrivals
-	// (default "redis").
-	Kernel string
 	// Services are the service names to spread requests over (required).
 	Services []string
 	// Conditions is the runtime-condition pool size (default 512).
@@ -82,9 +77,6 @@ func (c Config) defaults() Config {
 		c.Warmup = 0
 	} else if c.Warmup == 0 {
 		c.Warmup = time.Second
-	}
-	if c.Kernel == "" {
-		c.Kernel = "redis"
 	}
 	if c.Conditions <= 0 {
 		c.Conditions = 512
@@ -167,12 +159,12 @@ func Run(cfg Config, target Target) (Result, error) {
 	pool := buildPool(cfg)
 	switch cfg.Mode {
 	case "closed":
-		return runClosed(cfg, target, pool)
+		return runClosed(cfg, target, pool), nil
 	case "open":
 		if cfg.TargetQPS <= 0 {
 			return Result{}, fmt.Errorf("loadgen: open mode needs a target QPS")
 		}
-		return runOpen(cfg, target, pool)
+		return runOpen(cfg, target, pool), nil
 	default:
 		return Result{}, fmt.Errorf("loadgen: unknown mode %q (closed or open)", cfg.Mode)
 	}
@@ -198,7 +190,7 @@ func buildPool(cfg Config) []serve.PredictRequest {
 	return pool
 }
 
-func runClosed(cfg Config, target Target, pool []serve.PredictRequest) (Result, error) {
+func runClosed(cfg Config, target Target, pool []serve.PredictRequest) Result {
 	// Warmup: same loop, nothing recorded.
 	if cfg.Warmup > 0 {
 		runPhase(cfg, target, pool, cfg.Warmup, nil)
@@ -208,8 +200,7 @@ func runClosed(cfg Config, target Target, pool []serve.PredictRequest) (Result, 
 		all[i] = newWorkerStats()
 	}
 	elapsed := runPhase(cfg, target, pool, cfg.Duration, all)
-	res := summarise(cfg, all, elapsed)
-	return res, nil
+	return summarise(cfg, all, elapsed)
 }
 
 // runPhase runs the closed loop for d; stats may be nil (warmup).
@@ -247,16 +238,14 @@ func runPhase(cfg Config, target Target, pool []serve.PredictRequest, d time.Dur
 	return time.Since(start).Seconds()
 }
 
-func runOpen(cfg Config, target Target, pool []serve.PredictRequest) (Result, error) {
-	kernel, err := workload.ByName(cfg.Kernel)
-	if err != nil {
-		return Result{}, err
-	}
+func runOpen(cfg Config, target Target, pool []serve.PredictRequest) Result {
 	if cfg.Warmup > 0 {
 		runPhase(cfg, target, pool, cfg.Warmup, nil)
 	}
 
-	src := workload.NewSource(kernel, stats.Exponential{Rate: cfg.TargetQPS}, stats.NewRNG(cfg.Seed+1))
+	gaps := stats.Exponential{Rate: cfg.TargetQPS}
+	arrivals := stats.NewRNG(cfg.Seed + 1)
+	at := 0.0 // the next arrival, in seconds after start
 	sem := make(chan struct{}, cfg.Workers)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -266,8 +255,8 @@ func runOpen(cfg Config, target Target, pool []serve.PredictRequest) (Result, er
 	rng := stats.NewRNG(cfg.Seed + 2)
 	start := time.Now()
 	for {
-		q := src.Pop()
-		due := start.Add(time.Duration(q.Arrival * float64(time.Second)))
+		at += gaps.Sample(arrivals)
+		due := start.Add(time.Duration(at * float64(time.Second)))
 		if due.Sub(start) > cfg.Duration {
 			break
 		}
@@ -306,7 +295,7 @@ func runOpen(cfg Config, target Target, pool []serve.PredictRequest) (Result, er
 	res.Overruns = overruns
 	res.Dropped = dropped
 	res.Requests = issued + dropped
-	return res, nil
+	return res
 }
 
 func summarise(cfg Config, all []*workerStats, elapsed float64) Result {

@@ -35,13 +35,13 @@ type ModelInfo struct {
 }
 
 // Version is one immutable, refcounted model version: the model itself,
-// the profiling library it predicts through, per-service scenario
-// templates (precomputed so the hot path never averages library rows),
-// and the assembled full predictor for response-time requests.
+// the input builder over the profiling library it predicts through,
+// per-service scenario templates (precomputed so the hot path never
+// averages library rows), and the assembled full predictor for
+// response-time requests.
 type Version struct {
 	info    ModelInfo
 	model   BatchModel
-	library profile.Dataset
 	builder *core.InputBuilder
 	pred    *core.Predictor
 	// index maps each service to its position in info.Services, which
@@ -95,21 +95,16 @@ func (v *Version) Release() {
 // the replacement off to the side, swaps the pointer, and releases the
 // registry's reference to the old version so it drains.
 type Registry struct {
-	mu      sync.Mutex // serialises loads
-	cur     atomic.Pointer[Version]
-	next    int
-	servers int
+	mu   sync.Mutex // serialises loads
+	cur  atomic.Pointer[Version]
+	next int
 
 	modelPath, dataPath string
 }
 
-// NewRegistry returns an empty registry. servers is the per-service
-// parallelism the full predictor models (0 = the deployment default 2).
-func NewRegistry(servers int) *Registry {
-	if servers <= 0 {
-		servers = 2
-	}
-	return &Registry{servers: servers, next: 1}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{next: 1}
 }
 
 // Acquire returns the current version with a reference taken, or nil
@@ -203,7 +198,7 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 	}
 	// One worker: a reload fits its corrections while live predicts wait
 	// on their deadlines, so it must not take their cores.
-	pred, err := core.NewPredictor(model, library, r.servers, 1)
+	pred, err := core.NewPredictor(model, library, 1)
 	if err != nil {
 		return ModelInfo{}, nil, err
 	}
@@ -228,7 +223,6 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 			return ModelInfo{}, nil, fmt.Errorf("serve: service %q was profiled with %d private and %d shared ways, outside [0,%d]",
 				svc, t.PrivateWays, t.SharedWays, cat.MaxWays)
 		}
-		t.Servers = r.servers
 		templates[i] = t
 		index[svc] = i
 	}
@@ -245,7 +239,6 @@ func (r *Registry) Install(model BatchModel, library profile.Dataset) (ModelInfo
 			Rows:      library.Len(),
 		},
 		model:     model,
-		library:   library,
 		builder:   builder,
 		pred:      pred,
 		index:     index,

@@ -242,7 +242,7 @@ func TestRegistryPredictorRunsOnOneWorker(t *testing.T) {
 	if err := lib.SaveFile(dataPath); err != nil {
 		t.Fatal(err)
 	}
-	r := NewRegistry(2)
+	r := NewRegistry()
 	for _, step := range []struct {
 		name string
 		do   func() (ModelInfo, *Version, error)

@@ -14,6 +14,7 @@ import (
 	"stac/internal/cat"
 	"stac/internal/core"
 	"stac/internal/obs"
+	"stac/internal/policy"
 	"stac/internal/profile"
 )
 
@@ -46,6 +47,19 @@ func (m *stubModel) PredictBatch(features [][]float64) []float64 {
 		out[i] = m.ea
 	}
 	return out
+}
+
+// staticModel's EA moves with every static feature, so a scenario that
+// serving builds differently from the offline pipeline changes the
+// model's answer, not only the queueing stage's.
+type staticModel struct{ stubModel }
+
+func (m *staticModel) Predict(features []float64) float64 {
+	ea := 0.3
+	for _, v := range features[:profile.NumStatic] {
+		ea += 0.01 * v
+	}
+	return ea
 }
 
 // batchSizes returns the rows of every PredictBatch call so far.
@@ -274,7 +288,8 @@ func TestEngineHugeDeadlineAdmits(t *testing.T) {
 }
 
 func TestEngineFullPrediction(t *testing.T) {
-	e := newTestEngine(t, &stubModel{ea: 0.5}, Config{})
+	model := &staticModel{}
+	e := newTestEngine(t, model, Config{})
 	req := testRequest()
 	req.Full = true
 	resp, serr := e.Predict(req)
@@ -286,6 +301,28 @@ func TestEngineFullPrediction(t *testing.T) {
 	}
 	if resp.Prediction.MeanResponse <= 0 {
 		t.Errorf("mean response = %v, want positive", resp.Prediction.MeanResponse)
+	}
+
+	// Serving and the offline pipeline model one deployment: the answer
+	// is the offline predictor's for the service's template with the
+	// request's condition filled in.
+	lib := syntheticLibrary(t)
+	pred, err := core.NewPredictor(model, lib, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := policy.ScenarioTemplate(lib, req.Service, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Load, s.Timeout = req.Load, req.Timeout
+	s.PartnerLoad, s.PartnerTimeout = req.PartnerLoad, req.PartnerTimeout
+	want, err := pred.PredictResponse(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *resp.Prediction != want {
+		t.Errorf("engine full prediction %+v, offline predictor %+v", *resp.Prediction, want)
 	}
 }
 
@@ -312,7 +349,7 @@ func TestEngineRateLimitSheds429(t *testing.T) {
 }
 
 func TestRegistryReloadDrainsOldVersion(t *testing.T) {
-	r := NewRegistry(2)
+	r := NewRegistry()
 	lib := syntheticLibrary(t)
 	if _, _, err := r.Install(&stubModel{ea: 0.4}, lib); err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ const simQueries = 1500
 // Evaluate(p) only on p (DESIGN §11).
 type simKey struct {
 	arrival, baseMean, cv, timeout, boostRate int64
-	servers, queries                          int
+	queries                                   int
 }
 
 type simOut struct {
@@ -127,17 +127,16 @@ func keyOf(cfg queueing.Config) simKey {
 		cv:        quant(ln.Sigma),
 		timeout:   quant(cfg.Timeout * 1e3),
 		boostRate: quant(cfg.BoostRate),
-		servers:   cfg.Servers,
 		queries:   cfg.Queries,
 	}
 }
 
 // config is keyOf's inverse: the simulation config at the cell's grid
-// point. Every sweep simulation uses seed 1 and warms up on a tenth of
-// its queries.
+// point. Every sweep simulation runs testbed.DefaultCoresPerService
+// servers, uses seed 1 and warms up on a tenth of its queries.
 func (k simKey) config() queueing.Config {
 	return queueing.Config{
-		Servers:   k.servers,
+		Servers:   testbed.DefaultCoresPerService,
 		Arrival:   stats.Exponential{Rate: unquant(k.arrival) * 1e3},
 		Service:   stats.Lognormal{Mu: unquant(k.baseMean), Sigma: unquant(k.cv)},
 		Timeout:   unquant(k.timeout) / 1e3,
@@ -169,9 +168,6 @@ type Searcher struct {
 	// transforms its kept standard variates.
 	sims []*queueing.Simulator
 }
-
-// servers is the per-service parallelism of the evaluation conditions.
-const servers = 2
 
 // New builds the surrogate searcher: two exact miss-ratio curves, two
 // anchored models, and the no-sharing baseline prediction.
@@ -320,7 +316,7 @@ func (s *Searcher) planConfigs(p Plan, boostFrac [2]float64) [2]queueing.Config 
 	for iter := 0; iter < 2; iter++ {
 		var traffic [2]float64
 		for i := 0; i < 2; i++ {
-			traffic[i] = s.models[i].memTrafficAtLines(avgLines[i], pressure[i], s.loads[i], servers)
+			traffic[i] = s.models[i].memTrafficAtLines(avgLines[i], pressure[i], s.loads[i])
 		}
 		for i := 0; i < 2; i++ {
 			pr := traffic[1-i] / s.cfg.Processor.MemBandwidthCap
@@ -355,8 +351,8 @@ func (s *Searcher) planConfigs(p Plan, boostFrac [2]float64) [2]queueing.Config 
 			timeout = math.Inf(1)
 		}
 		cfgs[i] = queueing.Config{
-			Servers:   servers,
-			Arrival:   stats.Exponential{Rate: s.loads[i] * servers / exp},
+			Servers:   testbed.DefaultCoresPerService,
+			Arrival:   stats.Exponential{Rate: s.loads[i] * testbed.DefaultCoresPerService / exp},
 			Service:   stats.LognormalFromMeanCV(baseMean, m.ServiceCV()),
 			Timeout:   timeout,
 			BoostRate: boostRate,

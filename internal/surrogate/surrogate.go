@@ -178,15 +178,15 @@ func (m *Model) serviceTimeAtLines(lines int, pressure float64) float64 {
 // memTrafficAtLines predicts the LLC miss traffic (misses per simulated
 // second) the kernel's service injects into the memory controller at an
 // allocation of lines (fractional for a boost-weighted time average):
-// the per-core miss rate while executing, scaled by how many cores are
-// busy on average. This is the quantity the testbed's pressure EWMA
-// tracks.
-func (m *Model) memTrafficAtLines(lines float64, pressure, utilization float64, servers int) float64 {
+// the per-core miss rate while executing, scaled by how many of the
+// service's testbed.DefaultCoresPerService cores are busy on average.
+// This is the quantity the testbed's pressure EWMA tracks.
+func (m *Model) memTrafficAtLines(lines float64, pressure, utilization float64) float64 {
 	l := int(math.Round(lines))
 	cyc := m.CyclesAtLines(l, pressure)
 	if cyc <= 0 {
 		return 0
 	}
 	accessesPerSec := m.proc.CyclesPerSecond / cyc
-	return m.curve.MissRatio(l) * accessesPerSec * utilization * float64(servers)
+	return m.curve.MissRatio(l) * accessesPerSec * utilization * testbed.DefaultCoresPerService
 }

@@ -79,7 +79,7 @@ func TestModelPhysics(t *testing.T) {
 	// Memory traffic: cache-resident KNN presses far less than streaming.
 	knn := exactModel(t, workload.KNN(), 7)
 	sps := exactModel(t, workload.Spstream(), 7)
-	traffic := func(m *Model) float64 { return m.memTrafficAtLines(float64(8*m.linesPerWay), 0, 0.9, 2) }
+	traffic := func(m *Model) float64 { return m.memTrafficAtLines(float64(8*m.linesPerWay), 0, 0.9) }
 	if traffic(knn) > traffic(sps)/10 {
 		t.Fatalf("knn traffic %v should be far below spstream %v", traffic(knn), traffic(sps))
 	}

@@ -7,6 +7,12 @@ import (
 	"stac/internal/workload"
 )
 
+// DefaultCoresPerService is the paper's per-service core provision. Every
+// profile is collected on it, so the model's effective allocation is
+// learned from it, and Stage 3 of the prediction pipeline simulates this
+// many parallel servers per service.
+const DefaultCoresPerService = 2
+
 // NeverBoost is a timeout value large enough that short-term allocation
 // never triggers (the paper's 600 % setting effectively disables boosting;
 // we use +Inf for the pure "never" endpoint and 6.0 for the paper's
@@ -89,7 +95,7 @@ type Condition struct {
 	// chain exactly.
 	PrivateWaysBySvc []int
 	// CoresPerService is the number of cores dedicated to each service
-	// (the paper provisions 2).
+	// (default DefaultCoresPerService).
 	CoresPerService int
 	// SamplePeriod is the simulated time between counter samples.
 	SamplePeriod float64
@@ -122,7 +128,7 @@ func (c Condition) Defaults() Condition {
 		c.Processor = XeonE5_2683()
 	}
 	if c.CoresPerService == 0 {
-		c.CoresPerService = 2
+		c.CoresPerService = DefaultCoresPerService
 	}
 	if c.PrivateWays == 0 {
 		c.PrivateWays = 2

@@ -149,7 +149,7 @@ func Train(ds Dataset, opts TrainOptions) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewPredictor(model, ds, 2, opts.Workers)
+	return core.NewPredictor(model, ds, opts.Workers)
 }
 
 // NewScenario builds a prediction scenario for one service of a profiled
